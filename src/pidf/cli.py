@@ -29,7 +29,7 @@ from .estimators import (
     MineConfig,
     estimate_mi,
 )
-from .pidf import DEFAULT_ALPHA, DEFAULT_EPS_ZERO, run_pidf
+from .pidf import DEFAULT_ALPHA, DEFAULT_EPS_ZERO, default_config, run_pidf
 from .selection import confusion_counts, select_features
 from .types import (
     BITS,
@@ -149,7 +149,7 @@ def _estimator_config(
     name: str, data: Dataset, repetitions: int, base_seed: int
 ) -> EstimatorConfig:
     if name == "auto":
-        name = "exact" if data.all_discrete else "ksg"
+        return default_config(data, repetitions, base_seed)
     kinds = {
         "exact": ExactDiscrete,
         "binned": Binned,

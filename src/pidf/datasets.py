@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import ColumnKind, ConfigError, Dataset, DatasetError, FeatureSubset
+from .types import (
+    ColumnKind,
+    ConfigError,
+    Dataset,
+    DatasetError,
+    FeatureSubset,
+    philox,
+)
 
 DATASET_IDS = (
     "rvq",
@@ -67,18 +74,12 @@ class GeneratorSpec:
             )
 
 
-def _stream(seed: int, tag: int) -> np.random.Generator:
-    """Independent RNG stream for one logical column."""
-    key = [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(tag)]
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _bernoulli(seed: int, tag: int, n: int, p: float = 0.5) -> np.ndarray:
-    return (_stream(seed, tag).random(n) < p).astype(np.float64)
+    return (philox(seed, tag).random(n) < p).astype(np.float64)
 
 
 def _normal(seed: int, tag: int, n: int) -> np.ndarray:
-    return _stream(seed, tag).normal(size=n)
+    return philox(seed, tag).normal(size=n)
 
 
 def _dataset(
@@ -181,9 +182,9 @@ def _gen_terc(spec: GeneratorSpec, paired_copies: bool) -> Dataset:
 
 def _gen_ubr(spec: GeneratorSpec) -> Dataset:
     n, seed = spec.n_samples, spec.seed
-    eps1 = _stream(seed, 10).uniform(-1.0, 1.0, n)
-    eps2 = _stream(seed, 11).uniform(-0.5, 0.5, n)
-    eps3 = _stream(seed, 12).standard_exponential(n)
+    eps1 = philox(seed, 10).uniform(-1.0, 1.0, n)
+    eps2 = philox(seed, 11).uniform(-0.5, 0.5, n)
+    eps3 = philox(seed, 12).standard_exponential(n)
     eps4 = _normal(seed, 13, n)
     f0 = _normal(seed, 0, n)
     f1 = 3.0 * f0 + eps1
@@ -203,7 +204,7 @@ def _gen_sg(spec: GeneratorSpec) -> Dataset:
     n, seed = spec.n_samples, spec.seed
     y = _bernoulli(seed, 20, n)
     p_both = np.where(y > 0.5, 0.05, 0.95)
-    u = _stream(seed, 21).random(n)
+    u = philox(seed, 21).random(n)
     f0 = np.empty(n)
     f1 = np.empty(n)
     both = u < p_both
@@ -218,7 +219,7 @@ def _gen_sg(spec: GeneratorSpec) -> Dataset:
     f0[rest] = others[idx, 0]
     f1[rest] = others[idx, 1]
     p_marker = 0.2 + 0.6 * y
-    f2 = (_stream(seed, 22).random(n) < p_marker).astype(np.float64)
+    f2 = (philox(seed, 22).random(n) < p_marker).astype(np.float64)
     bern = ColumnKind.discrete(2)
     return _dataset(
         ("f0", "f1", "f2"), [f0, f1, f2], y, (bern, bern, bern), bern, spec

@@ -20,7 +20,6 @@ from scipy.spatial import cKDTree
 from scipy.special import digamma
 
 from .types import (
-    TARGET,
     ColumnKind,
     ConfigError,
     Dataset,
@@ -28,12 +27,14 @@ from .types import (
     EstimatorError,
     FeatureSubset,
     _TargetMarker,
+    philox,
 )
 
 _TARGET_ID = -1
 
 # Purpose words mixed into the second Philox key word so the row-subsample
-# stream and each column's jitter stream never collide.
+# stream and each column's jitter stream never collide. The low bits hold
+# column id + 1 (the target's id is -1, so 0); the subsample stream uses 1.
 _PURPOSE_SUBSAMPLE = 0xA5 << 32
 _PURPOSE_JITTER = 0xB6 << 32
 _SEED_STRIDE = 1000003
@@ -223,14 +224,6 @@ def _bin_column(col: np.ndarray, kind: ColumnKind, bins: int) -> np.ndarray:
     return np.digitize(col, edges).astype(np.float64)
 
 
-def _stream(rep_seed: int, purpose: int, column: int = 0) -> np.random.Generator:
-    key = [
-        np.uint64(rep_seed & 0xFFFFFFFFFFFFFFFF),
-        np.uint64((purpose | (column + 1)) & 0xFFFFFFFFFFFFFFFF),
-    ]
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def subsample_rows(n: int, fraction: float, rep_seed: int) -> np.ndarray:
     """Row indices of one repetition's subsample (sorted, without replacement).
 
@@ -241,7 +234,7 @@ def subsample_rows(n: int, fraction: float, rep_seed: int) -> np.ndarray:
     m = max(1, int(round(fraction * n)))
     if m >= n:
         return np.arange(n)
-    rng = _stream(rep_seed, _PURPOSE_SUBSAMPLE)
+    rng = philox(rep_seed, _PURPOSE_SUBSAMPLE | 1)
     return np.sort(rng.choice(n, size=m, replace=False))
 
 
@@ -256,7 +249,7 @@ def _jittered(matrix: np.ndarray, ids: tuple[int, ...], jitter: float,
         scale = float(np.std(col))
         if scale == 0.0:
             scale = 1.0
-        rng = _stream(rep_seed, _PURPOSE_JITTER, col_id)
+        rng = philox(rep_seed, _PURPOSE_JITTER | (col_id + 1))
         out[:, pos] = col + jitter * scale * rng.standard_normal(col.shape[0])
     return out
 
@@ -347,18 +340,3 @@ def estimate_mi(
         _estimate_once(data, left_ids, right_ids, cfg.kind, seed) for seed in seeds
     )
     return EstimateEnsemble(estimates, seeds)
-
-
-def estimate_entropy(
-    data: Dataset, group: GroupLike, cfg: EstimatorConfig
-) -> EstimateEnsemble:
-    """Plug-in Shannon entropy of a discrete column group, in nats."""
-    if not isinstance(cfg.kind, ExactDiscrete):
-        raise ConfigError("entropy estimation supports the exact estimator only")
-    ids = _resolve_group(data, group)
-    seeds = cfg.seeds()
-    if not ids:
-        return EstimateEnsemble.constant(0.0, seeds)
-    _require_discrete(_kinds(data, ids), "exact discrete")
-    codes = _discrete_codes(_columns(data, ids))
-    return EstimateEnsemble.constant(_entropy_from_codes(codes), seeds)

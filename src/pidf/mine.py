@@ -15,14 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import MineConfig
-from .types import EstimatorError
+from .types import EstimatorError, philox
 
 _PURPOSE_MINE = 0xC7 << 32
-
-
-def _rng(seed: int) -> np.random.Generator:
-    key = [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(_PURPOSE_MINE)]
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass
@@ -145,7 +140,7 @@ def mine_estimate(
         )
     x = _standardize(left)
     y = _standardize(right)
-    rng = _rng(seed)
+    rng = philox(seed, _PURPOSE_MINE)
     state = MineState.initial(x.shape[1] + y.shape[1], config, rng)
 
     if config.iterations == 0:

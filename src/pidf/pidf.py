@@ -11,11 +11,12 @@ deterministic and stochastic estimators share one significance rule.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from scipy.stats import t as student_t
+from scipy.special import stdtr
 
 from .estimators import (
     EstimatorConfig,
@@ -55,6 +56,25 @@ def default_config(
     return EstimatorConfig(kind=kind, repetitions=repetitions, base_seed=base_seed)
 
 
+def significantly_positive(
+    ensemble: EstimateEnsemble,
+    alpha: float = DEFAULT_ALPHA,
+    eps_zero: float = DEFAULT_EPS_ZERO,
+) -> bool:
+    """True when the ensemble is positive with the required certainty.
+
+    Deterministic ensembles compare the value against eps_zero directly
+    (a value of exactly eps_zero is not significant). Stochastic ensembles
+    run a one-sided Student-t test of mean > 0 at level alpha; the p-value
+    is the t survival function, P(T > stat) = stdtr(n - 1, -stat).
+    """
+    require_probability(alpha, "alpha")
+    if ensemble.is_deterministic:
+        return ensemble.mean > eps_zero
+    stat = ensemble.mean / (ensemble.std / ensemble.n**0.5)
+    return float(stdtr(ensemble.n - 1, -stat)) < alpha
+
+
 def is_redundant(
     ensemble: EstimateEnsemble,
     alpha: float = DEFAULT_ALPHA,
@@ -62,28 +82,10 @@ def is_redundant(
 ) -> bool:
     """True when the ensemble is negative with the required certainty.
 
-    Deterministic ensembles compare the value against -eps_zero directly
-    (a value of exactly 0 is not redundant). Stochastic ensembles run a
-    one-sided Student-t test of mean < 0 at level alpha.
+    The same test as significantly_positive on the negated estimates, which
+    is exact: negation commutes with rounding in the mean and the std.
     """
-    require_probability(alpha, "alpha")
-    if ensemble.is_deterministic:
-        return ensemble.mean < -eps_zero
-    stat = ensemble.mean / (ensemble.std / ensemble.n**0.5)
-    return float(student_t.cdf(stat, df=ensemble.n - 1)) < alpha
-
-
-def significantly_positive(
-    ensemble: EstimateEnsemble,
-    alpha: float = DEFAULT_ALPHA,
-    eps_zero: float = DEFAULT_EPS_ZERO,
-) -> bool:
-    """Mirror of is_redundant for the positive direction."""
-    require_probability(alpha, "alpha")
-    if ensemble.is_deterministic:
-        return ensemble.mean > eps_zero
-    stat = ensemble.mean / (ensemble.std / ensemble.n**0.5)
-    return float(student_t.sf(stat, df=ensemble.n - 1)) < alpha
+    return significantly_positive(ensemble.map(operator.neg), alpha, eps_zero)
 
 
 class MiCache:
@@ -243,7 +245,7 @@ def run_pidf(
             if verdict:
                 surviving.discard(j)
                 removed.append(j)
-                contributions.append((j, th.map(lambda e: -e)))
+                contributions.append((j, th.map(operator.neg)))
         pms = FeatureSubset(surviving)
         try:
             joint = cache.mi(TARGET, pms.add(i))

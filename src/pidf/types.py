@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,6 +70,16 @@ def convert_units(value_nats: float, unit: str) -> float:
     if unit == BITS:
         return value_nats / LN2
     raise ConfigError(f"unknown unit {unit!r}; expected one of {_UNITS}")
+
+
+def philox(seed: int, word: int) -> np.random.Generator:
+    """Counter-based RNG stream keyed by ``[seed, word]`` (both mod 2**64).
+
+    Every seeded draw in the library comes from here; callers keep their
+    streams apart by the second key word.
+    """
+    key = [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(word & 0xFFFFFFFFFFFFFFFF)]
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -134,10 +144,6 @@ class FeatureSubset:
         keep = set(other)
         return FeatureSubset(i for i in self.indices if i in keep)
 
-    def issubset(self, other: "FeatureSubset | Iterable[int]") -> bool:
-        pool = set(other)
-        return all(i in pool for i in self.indices)
-
     def add(self, index: int) -> "FeatureSubset":
         return FeatureSubset((*self.indices, index))
 
@@ -155,33 +161,6 @@ class FeatureSubset:
     def __repr__(self) -> str:
         inner = ", ".join(str(i) for i in self.indices)
         return f"FeatureSubset({{{inner}}})"
-
-
-@dataclass(frozen=True)
-class InfoValue:
-    """A scalar information quantity tagged with its unit."""
-
-    value: float
-    unit: str = NATS
-
-    def __post_init__(self) -> None:
-        if self.unit not in _UNITS:
-            raise ConfigError(f"unknown unit {self.unit!r}; expected one of {_UNITS}")
-
-    def to(self, unit: str) -> "InfoValue":
-        if unit == self.unit:
-            return self
-        if self.unit == NATS:
-            return InfoValue(convert_units(self.value, unit), unit)
-        return InfoValue(convert_units(self.value * LN2, unit), unit)
-
-    @property
-    def nats(self) -> float:
-        return self.value if self.unit == NATS else self.value * LN2
-
-    @property
-    def bits(self) -> float:
-        return self.value if self.unit == BITS else self.value / LN2
 
 
 @dataclass(frozen=True)
@@ -316,18 +295,6 @@ class Dataset:
     @property
     def all_discrete(self) -> bool:
         return self.target_kind.is_discrete and all(k.is_discrete for k in self.kinds)
-
-    def feature_matrix(self, subset: FeatureSubset) -> np.ndarray:
-        """Columns of ``subset`` in canonical (ascending-index) order."""
-        for i in subset:
-            if i >= self.n_features:
-                raise DatasetError(f"feature index {i} out of range")
-        return self.features[:, list(subset)]
-
-    def column(self, index: int) -> np.ndarray:
-        if not 0 <= index < self.n_features:
-            raise DatasetError(f"feature index {index} out of range")
-        return self.features[:, index]
 
 
 def _check_kind(name: str, kind: ColumnKind, col: np.ndarray) -> None:

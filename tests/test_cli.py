@@ -261,3 +261,18 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("f0,f1,f2,target")
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about half a second to import and pidf needs
+        # nothing from it.
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, pidf; print('scipy.stats' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -18,9 +18,7 @@ from pidf import (
     FeatureSubset,
     Ksg,
     TARGET,
-    estimate_entropy,
     estimate_mi,
-    oracle_entropy,
     oracle_mi,
 )
 from pidf.estimators import ksg_mi, subsample_rows
@@ -97,17 +95,6 @@ class TestExactDiscrete:
         first = estimate_mi(data, FeatureSubset((0, 1)), TARGET, cfg).mean
         second = estimate_mi(data, FeatureSubset((1, 2)), TARGET, cfg).mean
         assert first == second
-
-    def test_entropy(self):
-        data = random_dataset(11)
-        est = estimate_entropy(data, TARGET, exact_cfg()).mean
-        assert est == pytest.approx(oracle_entropy(data, TARGET), abs=1e-12)
-
-    def test_entropy_requires_exact_kind(self):
-        data = random_dataset(11)
-        cfg = EstimatorConfig(kind=Ksg(), repetitions=1, base_seed=0)
-        with pytest.raises(ConfigError):
-            estimate_entropy(data, TARGET, cfg)
 
 
 class TestBinned:

@@ -5,6 +5,7 @@ exhaustive synergy search."""
 import math
 
 import pytest
+from scipy.stats import t as student_t
 
 from pidf import (
     ConfigError,
@@ -78,6 +79,20 @@ class TestSignificanceRules:
         assert t_stat == pytest.approx(3.0, abs=1e-9)
         assert significantly_positive(e, alpha=0.05)
         assert not significantly_positive(e, alpha=0.01)
+
+    @pytest.mark.parametrize("alpha", (0.05, 0.01, 0.2))
+    def test_flips_at_the_critical_value(self, alpha):
+        # Shift a zero-mean spread of 5 values so its t-statistic lands a
+        # hair above or below the one-sided critical value with df=4.
+        critical = student_t.ppf(1.0 - alpha, df=4)
+        spread = (-1.0, -0.5, 0.0, 0.5, 1.0)
+        sample_std = ens(*spread).std
+        for factor, significant in ((1.0 + 1e-9, True), (1.0 - 1e-9, False)):
+            shift = factor * critical * sample_std / 5**0.5
+            e = ens(*(v + shift for v in spread))
+            assert (e.mean / (e.std / e.n**0.5) > critical) == significant
+            assert significantly_positive(e, alpha) == significant
+            assert is_redundant(e.map(lambda v: -v), alpha) == significant
 
     def test_bad_alpha(self):
         with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@
 input, checked over randomized instances."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from pidf import (
     NATS,
     TARGET,
     convert_units,
-    estimate_entropy,
     estimate_mi,
+    is_redundant,
     oracle,
+    oracle_entropy,
     oracle_mi,
     run_pidf,
+    significantly_positive,
 )
 
 from instances import random_dataset, random_population_instance
@@ -94,6 +97,20 @@ class TestEnsembleAlgebra:
         assert combo.estimates == pytest.approx(expected, abs=1e-12)
 
 
+class TestSignificanceMirror:
+    @given(
+        st.lists(
+            st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+            min_size=1, max_size=8,
+        )
+    )
+    def test_redundant_is_positive_of_negation(self, values):
+        ens = EstimateEnsemble(tuple(values), tuple(range(len(values))))
+        neg = ens.map(operator.neg)
+        assert is_redundant(ens) == significantly_positive(neg)
+        assert significantly_positive(ens) == is_redundant(neg)
+
+
 class TestEstimatorInvariants:
     @relaxed
     @given(st.integers(min_value=0, max_value=10_000))
@@ -116,7 +133,7 @@ class TestEstimatorInvariants:
         data = random_dataset(seed, max_features=3, max_rows=100)
         group = FeatureSubset.of(0)
         self_mi = estimate_mi(data, group, group, DETERMINISTIC).mean
-        entropy = estimate_entropy(data, group, DETERMINISTIC).mean
+        entropy = oracle_entropy(data, group)
         assert self_mi == pytest.approx(entropy, abs=1e-12)
 
     @relaxed

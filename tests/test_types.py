@@ -15,7 +15,6 @@ from pidf import (
     DatasetError,
     EstimateEnsemble,
     FeatureSubset,
-    InfoValue,
     PidfFeatureResult,
     PidfReport,
     convert_units,
@@ -38,17 +37,6 @@ class TestConvertUnits:
             convert_units(1.0, "shannons")
 
 
-class TestInfoValue:
-    def test_round_trip(self):
-        v = InfoValue(0.8, NATS)
-        assert v.to(BITS).to(NATS).value == pytest.approx(0.8, abs=1e-15)
-
-    def test_accessors(self):
-        v = InfoValue(2 * LN2, NATS)
-        assert v.bits == pytest.approx(2.0, abs=1e-15)
-        assert v.nats == pytest.approx(2 * LN2)
-
-
 class TestFeatureSubset:
     def test_canonical_order_and_dedup(self):
         assert FeatureSubset([3, 1, 3, 2]).indices == (1, 2, 3)
@@ -59,8 +47,6 @@ class TestFeatureSubset:
         assert (a | b).indices == (0, 1, 2)
         assert (a - b).indices == (0,)
         assert (a & b).indices == (1,)
-        assert a.issubset([0, 1, 2])
-        assert not a.issubset(b)
 
     def test_membership_iteration_len(self):
         s = FeatureSubset([4, 2])
@@ -197,18 +183,6 @@ class TestDatasetValidation:
                 kinds=(ColumnKind.discrete(2),),
                 target_kind=ColumnKind.discrete(1),
             )
-
-    def test_feature_matrix_subset(self):
-        data = Dataset(
-            feature_names=("a", "b", "c"),
-            features=np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]),
-            target=np.zeros(2),
-            kinds=(ColumnKind.discrete(2),) * 2 + (ColumnKind.discrete(3),),
-            target_kind=ColumnKind.discrete(1),
-        )
-        sub = data.feature_matrix(FeatureSubset((0, 2)))
-        assert sub.shape == (2, 2)
-        assert sub[0, 1] == 2.0
 
 
 class TestInferKinds:
