@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from instances import random_dataset
 from pidf import (
@@ -20,8 +23,10 @@ from pidf import (
     TARGET,
     estimate_mi,
     oracle_mi,
+    run_pidf,
 )
-from pidf.estimators import ksg_mi, subsample_rows
+from pidf import estimators
+from pidf.estimators import _discrete_codes, ksg_mi, subsample_rows
 
 LN2 = math.log(2.0)
 F = FeatureSubset.of
@@ -97,6 +102,49 @@ class TestExactDiscrete:
         assert first == second
 
 
+@st.composite
+def integer_matrices(draw):
+    rows = draw(st.integers(min_value=1, max_value=40))
+    cols = draw(st.integers(min_value=0, max_value=20))
+    cardinality = draw(st.integers(min_value=1, max_value=1000))
+    values = st.integers(min_value=0, max_value=cardinality - 1).map(float)
+    return draw(arrays(np.float64, (rows, cols), elements=values))
+
+
+def unique_row_codes(matrix):
+    return np.unique(matrix, axis=0, return_inverse=True)[1].ravel()
+
+
+class TestDiscreteCodes:
+    """Mixed-radix row codes equal the row ranks np.unique(axis=0) assigns."""
+
+    @given(integer_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_unique(self, matrix):
+        np.testing.assert_array_equal(_discrete_codes(matrix), unique_row_codes(matrix))
+
+    def test_span_past_int64(self):
+        # 32**16 = 2**80 joint states: the partial code is re-ranked midway.
+        rng = np.random.default_rng(7)
+        rows = rng.integers(0, 32, size=(200, 16))
+        matrix = rows[rng.integers(0, 200, size=500)].astype(np.float64)
+        np.testing.assert_array_equal(_discrete_codes(matrix), unique_row_codes(matrix))
+
+    def test_values_past_int64_span(self):
+        matrix = np.array([[2.0**52, 3.0], [1.0, 2.0**52], [2.0**52, 3.0]])
+        np.testing.assert_array_equal(_discrete_codes(matrix), [1, 0, 1])
+
+    def test_single_row(self):
+        np.testing.assert_array_equal(_discrete_codes(np.array([[3.0, 0.0, 7.0]])), [0])
+
+    def test_constant_column(self):
+        matrix = np.column_stack([np.full(6, 4.0), [1.0, 0.0, 1.0, 2.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(_discrete_codes(matrix), unique_row_codes(matrix))
+
+    def test_no_columns(self):
+        np.testing.assert_array_equal(_discrete_codes(np.empty((5, 0))), np.zeros(5))
+
+
 class TestBinned:
     def test_recovers_discrete_exactly_with_wide_bins(self):
         data = random_dataset(5)
@@ -112,6 +160,27 @@ class TestBinned:
         cfg = EstimatorConfig(kind=Binned(), repetitions=1, base_seed=0)
         est = estimate_mi(data, F(0), TARGET, cfg).mean
         assert 0.2 < est < 0.9
+
+    def test_run_bins_each_column_once(self, monkeypatch):
+        binned = []
+        real = estimators._bin_column
+
+        def counted(col, kind, bins):
+            if not kind.is_discrete:
+                binned.append(col)
+            return real(col, kind, bins)
+
+        monkeypatch.setattr(estimators, "_bin_column", counted)
+        draws = np.random.default_rng(3).normal(size=(500, 4))
+        data = Dataset(
+            feature_names=("f0", "f1", "f2"),
+            features=draws[:, :3],
+            target=draws[:, 0] + draws[:, 3],
+            kinds=(ColumnKind.continuous(),) * 3,
+            target_kind=ColumnKind.continuous(),
+        )
+        run_pidf(data, EstimatorConfig(kind=Binned(), repetitions=2))
+        assert len(binned) == 4
 
 
 class TestKsg:

@@ -1,0 +1,95 @@
+"""Plug-in estimator pins: exact and binned estimates, and the rendered JSON of
+whole runs, recorded as exact bit patterns. The plug-in path may change how
+it codes rows, but never a single bit of what it returns."""
+
+import hashlib
+
+import numpy as np
+
+from pidf import (
+    Binned,
+    ColumnKind,
+    Dataset,
+    EstimatorConfig,
+    ExactDiscrete,
+    FeatureSubset,
+    TARGET,
+    estimate_mi,
+    render_json,
+    run_pidf,
+)
+from pidf.types import philox
+
+EXACT_W2 = "0x1.dfe248e800000p-18"
+EXACT_W13 = "0x1.62e3bafdbc520p+0"
+BINNED_W3 = "0x1.bdb935bb630c8p-1"
+EXACT_RUN_SHA256 = "13b15b26f900309cdaf12d57ea9c3ccbf2139d06bd2b237c8a9fd825789b77e4"
+BINNED_RUN_SHA256 = "097e8c7be7343061bd6e8c4cd93674b39ec3d52529650c7619cd175332c90a2e"
+
+
+def binary_table(n: int, p: int, seed: int) -> Dataset:
+    """An XOR pair, an additive bit, copies of two of them, then noise bits."""
+    bits = philox(seed, 0x51).integers(0, 2, size=(n, p - 2))
+    a, b, c = bits[:, 0], bits[:, 1], bits[:, 2]
+    features = np.column_stack([a, b, c, a, c, bits[:, 3:]]).astype(np.float64)
+    bern = ColumnKind.discrete(2)
+    return Dataset(
+        feature_names=tuple(f"f{i}" for i in range(p)),
+        features=features,
+        target=((a ^ b) + 2 * c).astype(np.float64),
+        kinds=(bern,) * p,
+        target_kind=ColumnKind.discrete(4),
+    )
+
+
+def gaussian_table(n: int, p: int, seed: int) -> Dataset:
+    draws = philox(seed, 0x52).standard_normal(size=(n, p + 1))
+    target = draws[:, 0] + draws[:, 1] + 0.5 * draws[:, p]
+    cont = ColumnKind.continuous()
+    return Dataset(
+        feature_names=tuple(f"f{i}" for i in range(p)),
+        features=draws[:, :p],
+        target=target,
+        kinds=(cont,) * p,
+        target_kind=cont,
+    )
+
+
+def exact_cfg() -> EstimatorConfig:
+    return EstimatorConfig(kind=ExactDiscrete(), repetitions=5)
+
+
+def binned_cfg() -> EstimatorConfig:
+    return EstimatorConfig(kind=Binned(), repetitions=5)
+
+
+def run_sha256(data: Dataset, cfg: EstimatorConfig) -> str:
+    text = render_json(run_pidf(data, cfg))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_exact_narrow_joint():
+    data = binary_table(20000, 12, 1)
+    value = estimate_mi(data, FeatureSubset.of(0), TARGET, exact_cfg()).mean
+    assert value.hex() == EXACT_W2
+
+
+def test_exact_full_joint():
+    data = binary_table(20000, 12, 1)
+    full = FeatureSubset.full(data.n_features)
+    value = estimate_mi(data, full, TARGET, exact_cfg()).mean
+    assert value.hex() == EXACT_W13
+
+
+def test_binned_joint():
+    data = gaussian_table(5000, 4, 2)
+    value = estimate_mi(data, FeatureSubset.of(0, 1), TARGET, binned_cfg()).mean
+    assert value.hex() == BINNED_W3
+
+
+def test_exact_run_json():
+    assert run_sha256(binary_table(3000, 8, 3), exact_cfg()) == EXACT_RUN_SHA256
+
+
+def test_binned_run_json():
+    assert run_sha256(gaussian_table(3000, 5, 4), binned_cfg()) == BINNED_RUN_SHA256
