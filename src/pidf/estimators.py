@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -159,11 +159,8 @@ def _resolve_group(data: Dataset, group: GroupLike) -> tuple[int, ...]:
     return ids
 
 
-def _columns(data: Dataset, ids: tuple[int, ...]) -> np.ndarray:
-    cols = [
-        data.target if i == _TARGET_ID else data.features[:, i] for i in ids
-    ]
-    return np.column_stack(cols) if cols else np.empty((data.n_samples, 0))
+def _columns(data: Dataset, ids: tuple[int, ...]) -> list[np.ndarray]:
+    return [data.target if i == _TARGET_ID else data.features[:, i] for i in ids]
 
 
 def _kinds(data: Dataset, ids: tuple[int, ...]) -> tuple[ColumnKind, ...]:
@@ -201,16 +198,17 @@ def _dense(code: np.ndarray, span: int) -> tuple[np.ndarray, int]:
     return rank, distinct.shape[0]
 
 
-def _discrete_codes(matrix: np.ndarray) -> np.ndarray:
-    """Map each row of a non-negative integer matrix to a dense code.
+def _discrete_codes(columns: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Map each of the n rows of non-negative integer columns to a dense code.
 
     Rows fold into one mixed-radix code, first column most significant, so
-    codes rank rows in the lexicographic order of np.unique(axis=0) without
-    sorting rows. The partial code is re-ranked before it would overflow.
+    codes rank rows in the lexicographic order of np.unique(axis=0) on the
+    stacked columns without sorting rows. The partial code is re-ranked
+    before it would overflow.
     """
-    code = np.zeros(matrix.shape[0], dtype=np.int64)
+    code = np.zeros(n, dtype=np.int64)
     span = 1
-    for column in matrix.T:
+    for column in columns:
         digits = column.astype(np.int64)
         radix = int(digits.max()) + 1
         if span * radix >= _CODE_LIMIT:
@@ -232,9 +230,10 @@ def _entropy_from_codes(codes: np.ndarray) -> float:
     return max(0.0, math.log(n) - float(counts @ np.log(counts)) / n)
 
 
-def _plugin_mi(left: np.ndarray, right: np.ndarray) -> float:
-    codes_l = _discrete_codes(left)
-    codes_r = _discrete_codes(right)
+def _plugin_mi(left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> float:
+    n = left[0].shape[0]
+    codes_l = _discrete_codes(left, n)
+    codes_r = _discrete_codes(right, n)
     radix = int(codes_r.max()) + 1
     joint, _ = _dense(codes_l * radix + codes_r, (int(codes_l.max()) + 1) * radix)
     h_l = _entropy_from_codes(codes_l)
@@ -309,6 +308,79 @@ def _jittered(matrix: np.ndarray, ids: tuple[int, ...], jitter: float,
     return out
 
 
+# Wider marginals probe this many nearest neighbours before any ball query;
+# a KSG ball around a point holds about k of them.
+_PROBE_WIDTH = 16
+
+
+def _ball_counts(points: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Per row i, the number of rows within Chebyshev distance radius[i].
+
+    Returns exactly what cKDTree(points).query_ball_point(points, radius,
+    p=np.inf, return_length=True) returns. One column is counted on sorted
+    values. Wider points take their _PROBE_WIDTH nearest neighbours, which
+    hold every point of a ball that does not hold all of them; only rows
+    whose probe lies wholly inside the ball are counted by a ball query.
+    """
+    m, width = points.shape
+    if width == 1:
+        return _window_counts(points[:, 0], radius)
+    tree = cKDTree(points)
+    k = min(_PROBE_WIDTH, m)
+    dist, _ = tree.query(points, k=k, p=np.inf)
+    counts = np.count_nonzero(dist.reshape(m, k) <= radius[:, None], axis=1)
+    full = np.flatnonzero(counts == k)
+    if k < m and full.size:
+        counts[full] = tree.query_ball_point(
+            points[full], radius[full], p=np.inf, return_length=True
+        )
+    return counts
+
+
+def _window_counts(values: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Per i, the number of j with |values[j] - values[i]| <= radius[i].
+
+    Differences are rounded as the tree rounds them, and fl(u - v) is
+    monotone in u, so each ball is a run of the sorted distinct values.
+    searchsorted on v -+ r guesses the run's ends; rounding can put a guess
+    a step or two off, and _prefix_end moves it to where the rounded
+    difference puts it.
+    """
+    distinct, counts = np.unique(values, return_counts=True)
+    before = np.concatenate(([0], np.cumsum(counts)))
+    # Below the ball: fl(v - u) > r. Up to its top: fl(u - v) <= r.
+    lo = _prefix_end(
+        np.searchsorted(distinct, values - radius, "left"), distinct.shape[0],
+        lambda j, i: values[i] - distinct[j] > radius[i],
+    )
+    hi = _prefix_end(
+        np.searchsorted(distinct, values + radius, "right"), distinct.shape[0],
+        lambda j, i: distinct[j] - values[i] <= radius[i],
+    )
+    return before[hi] - before[lo]
+
+
+def _prefix_end(end: np.ndarray, size: int, holds) -> np.ndarray:
+    """Move each end[i], in place, to the first j in [0, size] where
+    holds(j, i) fails.
+
+    holds(j, i) must hold for every j below that index and fail from it on.
+    """
+    while True:
+        rows = np.flatnonzero(end < size)
+        rows = rows[holds(end[rows], rows)]
+        if rows.size == 0:
+            break
+        end[rows] += 1
+    while True:
+        rows = np.flatnonzero(end > 0)
+        rows = rows[~holds(end[rows] - 1, rows)]
+        if rows.size == 0:
+            break
+        end[rows] -= 1
+    return end
+
+
 def ksg_mi(x: np.ndarray, y: np.ndarray, k: int) -> float:
     """k-NN MI estimate (variant 1) on continuous matrices, in nats.
 
@@ -323,8 +395,8 @@ def ksg_mi(x: np.ndarray, y: np.ndarray, k: int) -> float:
     dist, _ = tree.query(joint, k=k + 1, p=np.inf)
     eps = dist[:, -1]
     radius = np.nextafter(eps, 0.0)
-    nx = cKDTree(x).query_ball_point(x, radius, p=np.inf, return_length=True) - 1
-    ny = cKDTree(y).query_ball_point(y, radius, p=np.inf, return_length=True) - 1
+    nx = _ball_counts(x, radius) - 1
+    ny = _ball_counts(y, radius) - 1
     value = (
         digamma(k)
         + digamma(n)
@@ -350,16 +422,12 @@ def _estimate_once(
         return _plugin_mi(left, right)
 
     if isinstance(kind, Binned):
-        left_b = np.column_stack(
-            [_bin_column(left[:, i], left_kinds[i], kind.bins)
-             for i in range(left.shape[1])]
-        ) if left.shape[1] else left
-        right_b = np.column_stack(
-            [_bin_column(right[:, i], right_kinds[i], kind.bins)
-             for i in range(right.shape[1])]
-        ) if right.shape[1] else right
-        return _plugin_mi(left_b, right_b)
+        return _plugin_mi(
+            [_bin_column(c, k, kind.bins) for c, k in zip(left, left_kinds)],
+            [_bin_column(c, k, kind.bins) for c, k in zip(right, right_kinds)],
+        )
 
+    left, right = np.column_stack(left), np.column_stack(right)
     if isinstance(kind, Ksg):
         rows = subsample_rows(data.n_samples, kind.subsample, rep_seed)
         left_j = _jittered(left, left_ids, kind.jitter, rep_seed)[rows]

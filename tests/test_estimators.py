@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial import cKDTree
 
 from instances import random_dataset
 from pidf import (
@@ -26,7 +27,13 @@ from pidf import (
     run_pidf,
 )
 from pidf import estimators
-from pidf.estimators import _discrete_codes, ksg_mi, subsample_rows
+from pidf.estimators import (
+    _PROBE_WIDTH,
+    _ball_counts,
+    _discrete_codes,
+    ksg_mi,
+    subsample_rows,
+)
 
 LN2 = math.log(2.0)
 F = FeatureSubset.of
@@ -115,34 +122,38 @@ def unique_row_codes(matrix):
     return np.unique(matrix, axis=0, return_inverse=True)[1].ravel()
 
 
+def row_codes(matrix):
+    return _discrete_codes(list(matrix.T), matrix.shape[0])
+
+
 class TestDiscreteCodes:
     """Mixed-radix row codes equal the row ranks np.unique(axis=0) assigns."""
 
     @given(integer_matrices())
     @settings(max_examples=300, deadline=None)
     def test_matches_row_unique(self, matrix):
-        np.testing.assert_array_equal(_discrete_codes(matrix), unique_row_codes(matrix))
+        np.testing.assert_array_equal(row_codes(matrix), unique_row_codes(matrix))
 
     def test_span_past_int64(self):
         # 32**16 = 2**80 joint states: the partial code is re-ranked midway.
         rng = np.random.default_rng(7)
         rows = rng.integers(0, 32, size=(200, 16))
         matrix = rows[rng.integers(0, 200, size=500)].astype(np.float64)
-        np.testing.assert_array_equal(_discrete_codes(matrix), unique_row_codes(matrix))
+        np.testing.assert_array_equal(row_codes(matrix), unique_row_codes(matrix))
 
     def test_values_past_int64_span(self):
         matrix = np.array([[2.0**52, 3.0], [1.0, 2.0**52], [2.0**52, 3.0]])
-        np.testing.assert_array_equal(_discrete_codes(matrix), [1, 0, 1])
+        np.testing.assert_array_equal(row_codes(matrix), [1, 0, 1])
 
     def test_single_row(self):
-        np.testing.assert_array_equal(_discrete_codes(np.array([[3.0, 0.0, 7.0]])), [0])
+        np.testing.assert_array_equal(row_codes(np.array([[3.0, 0.0, 7.0]])), [0])
 
     def test_constant_column(self):
         matrix = np.column_stack([np.full(6, 4.0), [1.0, 0.0, 1.0, 2.0, 0.0, 1.0]])
-        np.testing.assert_array_equal(_discrete_codes(matrix), unique_row_codes(matrix))
+        np.testing.assert_array_equal(row_codes(matrix), unique_row_codes(matrix))
 
     def test_no_columns(self):
-        np.testing.assert_array_equal(_discrete_codes(np.empty((5, 0))), np.zeros(5))
+        np.testing.assert_array_equal(row_codes(np.empty((5, 0))), np.zeros(5))
 
 
 class TestBinned:
@@ -245,6 +256,82 @@ class TestKsg:
         cfg = EstimatorConfig(kind=Ksg(), repetitions=5, base_seed=0)
         est = estimate_mi(data, F(0), TARGET, cfg)
         assert est.mean > 0.2
+
+
+@st.composite
+def ball_cases(draw):
+    """Points and per-point radii that sit on rounding edges."""
+    rows = draw(st.integers(min_value=1, max_value=60))
+    cols = draw(st.integers(min_value=1, max_value=4))
+    layout = draw(st.sampled_from(("grid", "near_1e8", "spread")))
+    if layout == "grid":
+        # Few distinct values: balls full of ties, most wider than the probe.
+        values = st.integers(min_value=0, max_value=3).map(float)
+    elif layout == "near_1e8":
+        # Spread 1e-7 around 1e8 spans only a few representable values.
+        values = st.floats(min_value=-1e-7, max_value=1e-7).map(lambda d: 1e8 + d)
+    else:
+        values = st.floats(min_value=-1e3, max_value=1e3)
+    points = draw(arrays(np.float64, (rows, cols), elements=values))
+    # Each radius is an actual pairwise distance, one ulp below or above it,
+    # or 0.
+    index = st.integers(min_value=0, max_value=rows - 1)
+    first = draw(arrays(np.intp, rows, elements=index))
+    second = draw(arrays(np.intp, rows, elements=index))
+    dist = np.abs(points[first] - points[second]).max(axis=1)
+    edge = draw(arrays(np.int8, rows, elements=st.integers(min_value=-1, max_value=2)))
+    radius = np.select(
+        [edge == -1, edge == 1, edge == 2],
+        [np.nextafter(dist, 0.0), np.nextafter(dist, np.inf), 0.0],
+        dist,
+    )
+    return points, radius
+
+
+def tree_ball_counts(points, radius):
+    tree = cKDTree(points)
+    return tree.query_ball_point(points, radius, p=np.inf, return_length=True)
+
+
+class TestBallCounts:
+    """Marginal counts equal the Chebyshev ball counts a k-d tree returns."""
+
+    @given(ball_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_tree(self, case):
+        points, radius = case
+        np.testing.assert_array_equal(_ball_counts(points, radius),
+                                      tree_ball_counts(points, radius))
+
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_fewer_rows_than_probe(self, cols):
+        rows = _PROBE_WIDTH - 4
+        points = np.random.default_rng(2).normal(size=(rows, cols))
+        radius = np.array([0.0, np.inf] * (rows // 2))
+        counts = _ball_counts(points, radius)
+        np.testing.assert_array_equal(counts, tree_ball_counts(points, radius))
+        np.testing.assert_array_equal(counts, [1, rows] * (rows // 2))
+
+    def test_one_column_ksg_queries_no_ball(self, monkeypatch):
+        calls = []
+
+        class RecordingTree:
+            def __init__(self, data):
+                self.tree = cKDTree(data)
+                self.width = self.tree.m
+
+            def query(self, *args, **kwargs):
+                calls.append(("query", self.width))
+                return self.tree.query(*args, **kwargs)
+
+            def query_ball_point(self, *args, **kwargs):
+                calls.append(("query_ball_point", self.width))
+                return self.tree.query_ball_point(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "cKDTree", RecordingTree)
+        x = np.random.default_rng(1).normal(size=(400, 1))
+        ksg_mi(x, x + np.random.default_rng(2).normal(size=(400, 1)), k=3)
+        assert calls == [("query", 2)]
 
 
 class TestSubsampling:
