@@ -12,12 +12,11 @@ same row subsample.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma
 
 from .types import (
     ColumnKind,
@@ -38,6 +37,23 @@ _TARGET_ID = -1
 _PURPOSE_SUBSAMPLE = 0xA5 << 32
 _PURPOSE_JITTER = 0xB6 << 32
 _SEED_STRIDE = 1000003
+
+
+def __getattr__(name: str):
+    # scipy.spatial is most of the cost of importing this module and only
+    # ksg uses it, so cKDTree loads on first use. Kept in the module's
+    # globals, it stays an attribute that a stand-in can replace.
+    if name == "cKDTree":
+        from scipy.spatial import cKDTree
+
+        globals()[name] = cKDTree
+        return cKDTree
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _tree(points: np.ndarray):
+    """A k-d tree over points, built by the module's cKDTree attribute."""
+    return getattr(sys.modules[__name__], "cKDTree")(points)
 
 
 @dataclass(frozen=True)
@@ -292,20 +308,63 @@ def subsample_rows(n: int, fraction: float, rep_seed: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=m, replace=False))
 
 
-def _jittered(matrix: np.ndarray, ids: tuple[int, ...], jitter: float,
+def _jittered(col: np.ndarray, col_id: int, jitter: float,
               rep_seed: int) -> np.ndarray:
-    """Add per-column tie-breaking noise keyed by (repetition, column id)."""
+    """Add tie-breaking noise to a whole column, keyed by (repetition, column
+    id) and scaled by the column's std."""
     if jitter == 0.0:
-        return matrix
-    out = matrix.astype(np.float64, copy=True)
-    for pos, col_id in enumerate(ids):
-        col = out[:, pos]
-        scale = float(np.std(col))
-        if scale == 0.0:
-            scale = 1.0
-        rng = philox(rep_seed, _PURPOSE_JITTER | (col_id + 1))
-        out[:, pos] = col + jitter * scale * rng.standard_normal(col.shape[0])
-    return out
+        return col
+    scale = float(np.std(col))
+    if scale == 0.0:
+        scale = 1.0
+    rng = philox(rep_seed, _PURPOSE_JITTER | (col_id + 1))
+    return col + jitter * scale * rng.standard_normal(col.shape[0])
+
+
+class _KsgSample:
+    """One dataset's ksg columns, each jittered and subsampled once per
+    repetition.
+
+    A column's jitter depends only on that column and the repetition seed,
+    so gathering prepared columns gives bit for bit what jittering and
+    subsampling each estimate's groups would.
+    """
+
+    def __init__(self, data: Dataset, kind: Ksg):
+        self.data = data
+        self.kind = kind
+        self._rows: dict[int, np.ndarray] = {}
+        self._columns: dict[tuple[int, int], np.ndarray] = {}
+
+    def matrix(self, ids: tuple[int, ...], rep_seed: int) -> np.ndarray:
+        return np.column_stack([self._column(i, rep_seed) for i in ids])
+
+    def _column(self, col_id: int, rep_seed: int) -> np.ndarray:
+        col = self._columns.get((rep_seed, col_id))
+        if col is None:
+            rows = self._rows.get(rep_seed)
+            if rows is None:
+                rows = subsample_rows(self.data.n_samples, self.kind.subsample, rep_seed)
+                self._rows[rep_seed] = rows
+            whole = _columns(self.data, (col_id,))[0]
+            col = _jittered(whole, col_id, self.kind.jitter, rep_seed)[rows]
+            self._columns[rep_seed, col_id] = col
+        return col
+
+
+# The last dataset's prepared columns. Dataset arrays are read-only, so the
+# dataset's identity keys them; holding the dataset keeps that identity from
+# being reused by another. Every prepared column is a function of the data,
+# the Ksg settings, the seed and the column id alone, so callers sharing the
+# store cannot see each other's results change.
+_ksg_sample: _KsgSample | None = None
+
+
+def _prepared(data: Dataset, kind: Ksg) -> _KsgSample:
+    global _ksg_sample
+    if _ksg_sample is None or _ksg_sample.data is not data or _ksg_sample.kind != kind:
+        _ksg_sample = _KsgSample(data, kind)
+    return _ksg_sample
 
 
 # Wider marginals probe this many nearest neighbours before any ball query;
@@ -325,7 +384,7 @@ def _ball_counts(points: np.ndarray, radius: np.ndarray) -> np.ndarray:
     m, width = points.shape
     if width == 1:
         return _window_counts(points[:, 0], radius)
-    tree = cKDTree(points)
+    tree = _tree(points)
     k = min(_PROBE_WIDTH, m)
     dist, _ = tree.query(points, k=k, p=np.inf)
     counts = np.count_nonzero(dist.reshape(m, k) <= radius[:, None], axis=1)
@@ -387,11 +446,13 @@ def ksg_mi(x: np.ndarray, y: np.ndarray, k: int) -> float:
     Uses the Chebyshev metric; neighbor counts in the marginal spaces are
     taken strictly inside each point's k-th joint-space distance.
     """
+    from scipy.special import digamma
+
     n = x.shape[0]
     if k >= n:
         raise EstimatorError(f"ksg needs more than k={k} rows, got {n}")
     joint = np.hstack([x, y])
-    tree = cKDTree(joint)
+    tree = _tree(joint)
     dist, _ = tree.query(joint, k=k + 1, p=np.inf)
     eps = dist[:, -1]
     radius = np.nextafter(eps, 0.0)
@@ -427,17 +488,17 @@ def _estimate_once(
             [_bin_column(c, k, kind.bins) for c, k in zip(right, right_kinds)],
         )
 
-    left, right = np.column_stack(left), np.column_stack(right)
     if isinstance(kind, Ksg):
-        rows = subsample_rows(data.n_samples, kind.subsample, rep_seed)
-        left_j = _jittered(left, left_ids, kind.jitter, rep_seed)[rows]
-        right_j = _jittered(right, right_ids, kind.jitter, rep_seed)[rows]
-        return ksg_mi(left_j, right_j, kind.k)
+        sample = _prepared(data, kind)
+        return ksg_mi(sample.matrix(left_ids, rep_seed),
+                      sample.matrix(right_ids, rep_seed), kind.k)
 
     if isinstance(kind, Mine):
         from . import mine
 
-        return mine.mine_estimate(left, right, kind.config, rep_seed)
+        return mine.mine_estimate(
+            np.column_stack(left), np.column_stack(right), kind.config, rep_seed
+        )
 
     raise ConfigError(f"unknown estimator kind {kind!r}")
 

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable
 
-from scipy.special import stdtr
-
 from .estimators import (
     EstimatorConfig,
     ExactDiscrete,
@@ -71,6 +69,8 @@ def significantly_positive(
     require_probability(alpha, "alpha")
     if ensemble.is_deterministic:
         return ensemble.mean > eps_zero
+    from scipy.special import stdtr
+
     stat = ensemble.mean / (ensemble.std / ensemble.n**0.5)
     return float(stdtr(ensemble.n - 1, -stat)) < alpha
 

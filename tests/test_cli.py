@@ -276,3 +276,45 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+def scipy_modules_after(statement):
+    """The scipy modules loaded in a fresh interpreter after running
+    statement, with stdout discarded."""
+    import subprocess
+    import sys
+
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from pidf import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    {statement}\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m == 'scipy' or m.startswith('scipy.'))))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    """scipy loads only where ksg or a t-test runs, so import and every
+    discrete run skip its import cost."""
+
+    def test_import_loads_no_scipy(self):
+        assert scipy_modules_after("import pidf") == []
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--dataset", "rvq", "--n", "300"],
+        ["verify"],
+    ])
+    def test_discrete_commands_load_no_scipy(self, argv):
+        assert scipy_modules_after(f"assert cli.main({argv!r}) == 0") == []
+
+    def test_continuous_analyze_loads_scipy(self):
+        loaded = scipy_modules_after(
+            "assert cli.main(['analyze', '--dataset', 'wt', '--n', '300']) == 0"
+        )
+        assert {"scipy.spatial", "scipy.special"} <= set(loaded)

@@ -257,6 +257,32 @@ class TestKsg:
         est = estimate_mi(data, F(0), TARGET, cfg)
         assert est.mean > 0.2
 
+    def test_run_prepares_each_column_once(self, monkeypatch):
+        jittered, subsampled = [], []
+        real_jittered, real_subsample = estimators._jittered, estimators.subsample_rows
+
+        def counted_jittered(col, col_id, jitter, rep_seed):
+            jittered.append((rep_seed, col_id))
+            return real_jittered(col, col_id, jitter, rep_seed)
+
+        def counted_subsample(n, fraction, rep_seed):
+            subsampled.append(rep_seed)
+            return real_subsample(n, fraction, rep_seed)
+
+        monkeypatch.setattr(estimators, "_jittered", counted_jittered)
+        monkeypatch.setattr(estimators, "subsample_rows", counted_subsample)
+        draws = np.random.default_rng(5).normal(size=(2000, 6))
+        data = Dataset(
+            feature_names=tuple(f"f{i}" for i in range(5)),
+            features=draws[:, :5],
+            target=draws[:, 0] + draws[:, 1] + draws[:, 5],
+            kinds=(ColumnKind.continuous(),) * 5,
+            target_kind=ColumnKind.continuous(),
+        )
+        run_pidf(data)
+        assert jittered and len(jittered) == len(set(jittered))
+        assert subsampled and len(subsampled) == len(set(subsampled))
+
 
 @st.composite
 def ball_cases(draw):
@@ -293,6 +319,29 @@ def tree_ball_counts(points, radius):
     return tree.query_ball_point(points, radius, p=np.inf, return_length=True)
 
 
+@pytest.fixture
+def tree_calls(monkeypatch):
+    """Route ksg's trees through a recording stand-in for estimators.cKDTree
+    and return the list of (method, tree width) calls it sees."""
+    calls = []
+
+    class RecordingTree:
+        def __init__(self, data):
+            self.tree = cKDTree(data)
+            self.width = self.tree.m
+
+        def query(self, *args, **kwargs):
+            calls.append(("query", self.width))
+            return self.tree.query(*args, **kwargs)
+
+        def query_ball_point(self, *args, **kwargs):
+            calls.append(("query_ball_point", self.width))
+            return self.tree.query_ball_point(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "cKDTree", RecordingTree)
+    return calls
+
+
 class TestBallCounts:
     """Marginal counts equal the Chebyshev ball counts a k-d tree returns."""
 
@@ -312,26 +361,20 @@ class TestBallCounts:
         np.testing.assert_array_equal(counts, tree_ball_counts(points, radius))
         np.testing.assert_array_equal(counts, [1, rows] * (rows // 2))
 
-    def test_one_column_ksg_queries_no_ball(self, monkeypatch):
-        calls = []
-
-        class RecordingTree:
-            def __init__(self, data):
-                self.tree = cKDTree(data)
-                self.width = self.tree.m
-
-            def query(self, *args, **kwargs):
-                calls.append(("query", self.width))
-                return self.tree.query(*args, **kwargs)
-
-            def query_ball_point(self, *args, **kwargs):
-                calls.append(("query_ball_point", self.width))
-                return self.tree.query_ball_point(*args, **kwargs)
-
-        monkeypatch.setattr(estimators, "cKDTree", RecordingTree)
+    def test_one_column_ksg_queries_no_ball(self, tree_calls):
         x = np.random.default_rng(1).normal(size=(400, 1))
         ksg_mi(x, x + np.random.default_rng(2).normal(size=(400, 1)), k=3)
-        assert calls == [("query", 2)]
+        assert tree_calls == [("query", 2)]
+
+    def test_wide_marginal_probe_uses_the_stand_in(self, tree_calls):
+        x = np.random.default_rng(1).normal(size=(400, 2))
+        y = x.sum(axis=1, keepdims=True) + np.random.default_rng(2).normal(size=(400, 1))
+        ksg_mi(x, y, k=3)
+        queries = [call for call in tree_calls if call[0] == "query"]
+        assert queries == [("query", 3), ("query", 2)]
+
+    def test_tree_attribute_is_scipy_when_unpatched(self):
+        assert getattr(estimators, "cKDTree") is cKDTree
 
 
 class TestSubsampling:
