@@ -12,8 +12,11 @@ same row subsample.
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -472,7 +475,10 @@ def _estimate_once(
     right_ids: tuple[int, ...],
     kind: EstimatorKind,
     rep_seed: int,
+    sample: _KsgSample | None = None,
 ) -> float:
+    """One repetition's estimate; ksg gathers its columns from sample,
+    the _prepared store of (data, kind)."""
     left = _columns(data, left_ids)
     right = _columns(data, right_ids)
     left_kinds = _kinds(data, left_ids)
@@ -489,7 +495,6 @@ def _estimate_once(
         )
 
     if isinstance(kind, Ksg):
-        sample = _prepared(data, kind)
         return ksg_mi(sample.matrix(left_ids, rep_seed),
                       sample.matrix(right_ids, rep_seed), kind.k)
 
@@ -501,6 +506,37 @@ def _estimate_once(
         )
 
     raise ConfigError(f"unknown estimator kind {kind!r}")
+
+
+# The repetitions of a ksg estimate run on this pool, one thread per CPU the
+# process may use: cKDTree releases the GIL while it builds and queries.
+_executor = None
+_executor_lock = threading.Lock()
+
+
+def _pool():
+    global _executor
+    with _executor_lock:
+        if _executor is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            try:
+                cpus = len(os.sched_getaffinity(0))
+            except AttributeError:
+                cpus = os.cpu_count() or 1
+            _executor = ThreadPoolExecutor(cpus, thread_name_prefix="pidf-ksg")
+        return _executor
+
+
+def _forget_pool() -> None:
+    # A forked child has none of the parent's pool threads, yet the pool
+    # would count them as idle and never start new ones.
+    global _executor, _executor_lock
+    _executor, _executor_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def estimate_mi(
@@ -517,10 +553,12 @@ def estimate_mi(
     seeds = cfg.seeds()
     if not left_ids or not right_ids:
         return EstimateEnsemble.constant(0.0, seeds)
+    once = partial(_estimate_once, data, left_ids, right_ids, cfg.kind)
     if cfg.is_deterministic:
-        value = _estimate_once(data, left_ids, right_ids, cfg.kind, seeds[0])
-        return EstimateEnsemble.constant(value, seeds)
-    estimates = tuple(
-        _estimate_once(data, left_ids, right_ids, cfg.kind, seed) for seed in seeds
-    )
-    return EstimateEnsemble(estimates, seeds)
+        return EstimateEnsemble.constant(once(seeds[0]), seeds)
+    if isinstance(cfg.kind, Ksg):
+        # Each repetition fills only its own seed's columns of the store, so
+        # no two threads write the same key.
+        once = partial(once, sample=_prepared(data, cfg.kind))
+        return EstimateEnsemble(tuple(_pool().map(once, seeds)), seeds)
+    return EstimateEnsemble(tuple(map(once, seeds)), seeds)

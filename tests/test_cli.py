@@ -278,19 +278,20 @@ class TestModuleEntry:
         assert proc.stdout.strip() == "False"
 
 
-def scipy_modules_after(statement):
-    """The scipy modules loaded in a fresh interpreter after running
-    statement, with stdout discarded."""
+def state_after(statement):
+    """The scipy modules loaded and the number of live threads in a fresh
+    interpreter after running statement, with stdout discarded."""
     import subprocess
     import sys
 
     script = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, json, sys, threading\n"
         "from pidf import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    {statement}\n"
-        "print(json.dumps(sorted(m for m in sys.modules\n"
-        "                        if m == 'scipy' or m.startswith('scipy.'))))\n"
+        "print(json.dumps([sorted(m for m in sys.modules\n"
+        "                         if m == 'scipy' or m.startswith('scipy.')),\n"
+        "                  threading.active_count()]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True
@@ -304,17 +305,28 @@ class TestColdStart:
     discrete run skip its import cost."""
 
     def test_import_loads_no_scipy(self):
-        assert scipy_modules_after("import pidf") == []
+        assert state_after("import pidf")[0] == []
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--dataset", "rvq", "--n", "300"],
         ["verify"],
     ])
     def test_discrete_commands_load_no_scipy(self, argv):
-        assert scipy_modules_after(f"assert cli.main({argv!r}) == 0") == []
+        assert state_after(f"assert cli.main({argv!r}) == 0")[0] == []
 
     def test_continuous_analyze_loads_scipy(self):
-        loaded = scipy_modules_after(
+        loaded, _ = state_after(
             "assert cli.main(['analyze', '--dataset', 'wt', '--n', '300']) == 0"
         )
         assert {"scipy.spatial", "scipy.special"} <= set(loaded)
+
+    @pytest.mark.parametrize("statement,pool", [
+        ("import pidf", False),
+        ("assert cli.main(['analyze', '--dataset', 'rvq', '--n', '300']) == 0", False),
+        ("assert cli.main(['verify']) == 0", False),
+        ("assert cli.main(['analyze', '--dataset', 'wt', '--n', '300']) == 0", True),
+    ])
+    def test_only_ksg_starts_threads(self, statement, pool):
+        """The ksg pool starts on first use; its idle threads outlive the run."""
+        _, threads = state_after(statement)
+        assert (threads > 1) == pool

@@ -2,6 +2,13 @@
 Gaussians, binning behavior, repetition seeding, and error paths."""
 
 import math
+import multiprocessing
+import os
+import queue
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,13 +31,17 @@ from pidf import (
     TARGET,
     estimate_mi,
     oracle_mi,
+    render_json,
     run_pidf,
+    select_features,
 )
 from pidf import estimators
 from pidf.estimators import (
     _PROBE_WIDTH,
+    _KsgSample,
     _ball_counts,
     _discrete_codes,
+    _estimate_once,
     ksg_mi,
     subsample_rows,
 )
@@ -375,6 +386,131 @@ class TestBallCounts:
 
     def test_tree_attribute_is_scipy_when_unpatched(self):
         assert getattr(estimators, "cKDTree") is cKDTree
+
+
+def usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def gaussian_table(n, seed):
+    """f0, f1 and a noise column; y = f0 + f1 + noise."""
+    draws = np.random.default_rng(seed).normal(size=(n, 4))
+    return Dataset(
+        feature_names=("f0", "f1", "f2"),
+        features=draws[:, :3],
+        target=draws[:, 0] + draws[:, 1] + draws[:, 3],
+        kinds=(ColumnKind.continuous(),) * 3,
+        target_kind=ColumnKind.continuous(),
+    )
+
+
+def report_json(data):
+    report = run_pidf(data)
+    return render_json(report, select_features(report))
+
+
+def put_report_json(data, results):
+    results.put(report_json(data))
+
+
+class TestKsgPool:
+    """The repetitions of a ksg estimate run on a thread pool and return
+    what running them one after another returns."""
+
+    @pytest.mark.skipif(usable_cpus() < 2, reason="needs 2 usable CPUs")
+    def test_repetitions_run_on_threads_with_sequential_bytes(self, monkeypatch):
+        idents = set()
+
+        class RecordingTree(cKDTree):
+            def __init__(self, data):
+                idents.add(threading.get_ident())
+                super().__init__(data)
+
+        data = gaussian_table(5000, 7)
+        cfg = EstimatorConfig(kind=Ksg())
+        monkeypatch.setattr(estimators, "cKDTree", RecordingTree)
+        ensemble = estimate_mi(data, F(0, 2), TARGET, cfg)
+        assert len(idents) >= 2
+        # A fresh store derives every column again, one seed after another.
+        sample = _KsgSample(data, cfg.kind)
+        sequential = [_estimate_once(data, (0, 2), (-1,), cfg.kind, seed, sample)
+                      for seed in cfg.seeds()]
+        assert [v.hex() for v in ensemble.estimates] == [v.hex() for v in sequential]
+        assert ensemble.seeds == cfg.seeds()
+
+    def test_each_column_prepared_once_under_fast_switching(self, monkeypatch):
+        jittered = []
+        real_jittered = estimators._jittered
+
+        def counted_jittered(col, col_id, jitter, rep_seed):
+            jittered.append((rep_seed, col_id))
+            return real_jittered(col, col_id, jitter, rep_seed)
+
+        monkeypatch.setattr(estimators, "_jittered", counted_jittered)
+        data = gaussian_table(600, 10)
+        cfg = EstimatorConfig(kind=Ksg(), repetitions=16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ensemble = estimate_mi(data, F(0, 1), F(2), cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(jittered) == [(seed, col) for seed in cfg.seeds() for col in (0, 1, 2)]
+        sample = _KsgSample(data, cfg.kind)
+        assert ensemble.estimates == tuple(
+            _estimate_once(data, (0, 1), (2,), cfg.kind, seed, sample) for seed in cfg.seeds()
+        )
+
+    def test_repetition_error_reaches_the_caller(self):
+        # 30% of 10 rows leaves 3, no more than k.
+        with pytest.raises(EstimatorError, match="more than k"):
+            estimate_mi(gaussian_table(10, 9), F(0), TARGET, EstimatorConfig(kind=Ksg()))
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_fork_child_runs_ksg_after_the_parent(self):
+        data = gaussian_table(1000, 8)
+        expected = report_json(data)
+        assert estimators._executor is not None
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=put_report_json, args=(data, results))
+        child.start()
+        try:
+            text = results.get(timeout=60)
+        except queue.Empty:
+            text = None
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert text is not None, "the forked child's ksg run did not finish"
+        assert text == expected
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs sched_setaffinity")
+    def test_one_cpu_gives_the_pinned_bytes(self):
+        from test_ksg_pins import KNN_RUN_SHA256
+
+        script = (
+            "import hashlib, os, sys, threading\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from pidf import render_json, run_pidf, select_features\n"
+            "from test_ksg_pins import knn_gauss_table\n"
+            "report = run_pidf(knn_gauss_table(5000, 6))\n"
+            "text = render_json(report, select_features(report))\n"
+            "print(threading.active_count(),\n"
+            "      hashlib.sha256(text.encode('utf-8')).hexdigest())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        # The main thread and one pool thread.
+        assert proc.stdout.split() == ["2", KNN_RUN_SHA256]
 
 
 class TestSubsampling:
