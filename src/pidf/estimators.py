@@ -14,9 +14,8 @@ from __future__ import annotations
 import math
 import os
 import sys
-import threading
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -474,11 +473,12 @@ def _estimate_once(
     left_ids: tuple[int, ...],
     right_ids: tuple[int, ...],
     kind: EstimatorKind,
+    sample: _KsgSample | None,
     rep_seed: int,
-    sample: _KsgSample | None = None,
 ) -> float:
-    """One repetition's estimate; ksg gathers its columns from sample,
-    the _prepared store of (data, kind)."""
+    """One repetition's estimate. sample is the _prepared store of
+    (data, kind) for ksg, which gathers its columns from it, and None for
+    every other kind."""
     left = _columns(data, left_ids)
     right = _columns(data, right_ids)
     left_kinds = _kinds(data, left_ids)
@@ -508,35 +508,25 @@ def _estimate_once(
     raise ConfigError(f"unknown estimator kind {kind!r}")
 
 
-# The repetitions of a ksg estimate run on this pool, one thread per CPU the
-# process may use: cKDTree releases the GIL while it builds and queries.
-_executor = None
-_executor_lock = threading.Lock()
-
-
+@cache
 def _pool():
-    global _executor
-    with _executor_lock:
-        if _executor is None:
-            from concurrent.futures import ThreadPoolExecutor
+    """The pool that runs the repetitions of ksg and mine estimates, one
+    thread per CPU the process may use. cKDTree and numpy's array kernels
+    release the GIL. Made on first use: importing concurrent.futures adds
+    about 8 ms to importing this module."""
+    from concurrent.futures import ThreadPoolExecutor
 
-            try:
-                cpus = len(os.sched_getaffinity(0))
-            except AttributeError:
-                cpus = os.cpu_count() or 1
-            _executor = ThreadPoolExecutor(cpus, thread_name_prefix="pidf-ksg")
-        return _executor
-
-
-def _forget_pool() -> None:
-    # A forked child has none of the parent's pool threads, yet the pool
-    # would count them as idle and never start new ones.
-    global _executor, _executor_lock
-    _executor, _executor_lock = None, threading.Lock()
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return ThreadPoolExecutor(cpus, thread_name_prefix="pidf-rep")
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    # A forked child has none of the parent's pool threads, yet the pool
+    # would count them as idle and never start new ones.
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def estimate_mi(
@@ -553,12 +543,11 @@ def estimate_mi(
     seeds = cfg.seeds()
     if not left_ids or not right_ids:
         return EstimateEnsemble.constant(0.0, seeds)
-    once = partial(_estimate_once, data, left_ids, right_ids, cfg.kind)
+    sample = _prepared(data, cfg.kind) if isinstance(cfg.kind, Ksg) else None
+    once = partial(_estimate_once, data, left_ids, right_ids, cfg.kind, sample)
     if cfg.is_deterministic:
         return EstimateEnsemble.constant(once(seeds[0]), seeds)
-    if isinstance(cfg.kind, Ksg):
-        # Each repetition fills only its own seed's columns of the store, so
-        # no two threads write the same key.
-        once = partial(once, sample=_prepared(data, cfg.kind))
-        return EstimateEnsemble(tuple(_pool().map(once, seeds)), seeds)
-    return EstimateEnsemble(tuple(map(once, seeds)), seeds)
+    # Each repetition draws only from its own seed's streams, and a ksg
+    # repetition fills only its own seed's columns of the store, so no two
+    # threads write the same key.
+    return EstimateEnsemble(tuple(_pool().map(once, seeds)), seeds)

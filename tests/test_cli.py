@@ -326,7 +326,8 @@ class TestColdStart:
         ("assert cli.main(['verify']) == 0", False),
         ("assert cli.main(['analyze', '--dataset', 'wt', '--n', '300']) == 0", True),
     ])
-    def test_only_ksg_starts_threads(self, statement, pool):
-        """The ksg pool starts on first use; its idle threads outlive the run."""
+    def test_only_repeated_estimates_start_threads(self, statement, pool):
+        """The repetition pool starts on first use; its idle threads outlive
+        the run."""
         _, threads = state_after(statement)
         assert (threads > 1) == pool

@@ -28,6 +28,8 @@ from pidf import (
     ExactDiscrete,
     FeatureSubset,
     Ksg,
+    Mine,
+    MineConfig,
     TARGET,
     estimate_mi,
     oracle_mi,
@@ -415,9 +417,9 @@ def put_report_json(data, results):
     results.put(report_json(data))
 
 
-class TestKsgPool:
-    """The repetitions of a ksg estimate run on a thread pool and return
-    what running them one after another returns."""
+class TestRepetitionPool:
+    """The repetitions of a ksg or mine estimate run on a thread pool and
+    return what running them one after another returns."""
 
     @pytest.mark.skipif(usable_cpus() < 2, reason="needs 2 usable CPUs")
     def test_repetitions_run_on_threads_with_sequential_bytes(self, monkeypatch):
@@ -435,10 +437,31 @@ class TestKsgPool:
         assert len(idents) >= 2
         # A fresh store derives every column again, one seed after another.
         sample = _KsgSample(data, cfg.kind)
-        sequential = [_estimate_once(data, (0, 2), (-1,), cfg.kind, seed, sample)
+        sequential = [_estimate_once(data, (0, 2), (-1,), cfg.kind, sample, seed)
                       for seed in cfg.seeds()]
         assert [v.hex() for v in ensemble.estimates] == [v.hex() for v in sequential]
         assert ensemble.seeds == cfg.seeds()
+
+    @pytest.mark.skipif(usable_cpus() < 2, reason="needs 2 usable CPUs")
+    def test_mine_repetitions_run_on_threads_with_sequential_bytes(self, monkeypatch):
+        from pidf import mine
+
+        idents = set()
+        real_estimate = mine.mine_estimate
+
+        def recording_estimate(*args):
+            idents.add(threading.get_ident())
+            return real_estimate(*args)
+
+        data = gaussian_table(2000, 11)
+        cfg = EstimatorConfig(kind=Mine(MineConfig(batch_size=256, iterations=200)),
+                              repetitions=4)
+        monkeypatch.setattr(mine, "mine_estimate", recording_estimate)
+        ensemble = estimate_mi(data, F(0, 1), TARGET, cfg)
+        assert len(idents) >= 2
+        sequential = [_estimate_once(data, (0, 1), (-1,), cfg.kind, None, seed)
+                      for seed in cfg.seeds()]
+        assert [v.hex() for v in ensemble.estimates] == [v.hex() for v in sequential]
 
     def test_each_column_prepared_once_under_fast_switching(self, monkeypatch):
         jittered = []
@@ -460,7 +483,7 @@ class TestKsgPool:
         assert sorted(jittered) == [(seed, col) for seed in cfg.seeds() for col in (0, 1, 2)]
         sample = _KsgSample(data, cfg.kind)
         assert ensemble.estimates == tuple(
-            _estimate_once(data, (0, 1), (2,), cfg.kind, seed, sample) for seed in cfg.seeds()
+            _estimate_once(data, (0, 1), (2,), cfg.kind, sample, seed) for seed in cfg.seeds()
         )
 
     def test_repetition_error_reaches_the_caller(self):
@@ -473,7 +496,7 @@ class TestKsgPool:
     def test_fork_child_runs_ksg_after_the_parent(self):
         data = gaussian_table(1000, 8)
         expected = report_json(data)
-        assert estimators._executor is not None
+        assert estimators._pool.cache_info().currsize == 1
         ctx = multiprocessing.get_context("fork")
         results = ctx.Queue()
         child = ctx.Process(target=put_report_json, args=(data, results))
