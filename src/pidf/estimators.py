@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Iterable, Sequence, Union
 
@@ -216,48 +216,43 @@ def _dense(code: np.ndarray, span: int) -> tuple[np.ndarray, int]:
     return rank, distinct.shape[0]
 
 
-def _discrete_codes(columns: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """Map each of the n rows of non-negative integer columns to a dense code.
+def _code_counts(code: np.ndarray, span: int) -> np.ndarray:
+    """How often each distinct code in [0, span) occurs, in code order."""
+    # Counted by marking below span = 4n and by sorting above, as in _dense.
+    if span <= 4 * code.shape[0]:
+        counts = np.bincount(code)
+        return counts[counts > 0]
+    return np.unique(code, return_counts=True)[1]
 
-    Rows fold into one mixed-radix code, first column most significant, so
-    codes rank rows in the lexicographic order of np.unique(axis=0) on the
-    stacked columns without sorting rows. The partial code is re-ranked
-    before it would overflow.
+
+def _fold_rows(columns: Sequence[np.ndarray], n: int) -> tuple[np.ndarray, int]:
+    """Fold each of the n rows of non-negative integer columns into one
+    mixed-radix code, first column most significant.
+
+    Returns the codes and a bound on them. Distinct rows get distinct
+    codes, ordered as np.unique(axis=0) orders the stacked rows. The
+    partial code is re-ranked before it would overflow.
     """
     code = np.zeros(n, dtype=np.int64)
     span = 1
     for column in columns:
-        digits = column.astype(np.int64)
+        # Signed integer digits of any width add into the code as they are.
+        digits = column if column.dtype.kind == "i" else column.astype(np.int64)
         radix = int(digits.max()) + 1
         if span * radix >= _CODE_LIMIT:
             code, span = _dense(code, span)
             if span * radix >= _CODE_LIMIT:
                 digits, radix = _dense(digits, radix)
-        code = code * radix + digits
+        code *= radix
+        code += digits
         span *= radix
-    return _dense(code, span)[0]
+    return code, span
 
 
-def _entropy_from_codes(codes: np.ndarray) -> float:
-    n = codes.shape[0]
-    counts = np.bincount(codes)
-    # Sort so the summation order depends only on the count multiset, never
-    # on column order; information-identical column sets then get bitwise
-    # identical entropies and downstream ties break canonically.
-    counts = np.sort(counts[counts > 0])
-    return max(0.0, math.log(n) - float(counts @ np.log(counts)) / n)
-
-
-def _plugin_mi(left: Sequence[np.ndarray], right: Sequence[np.ndarray]) -> float:
-    n = left[0].shape[0]
-    codes_l = _discrete_codes(left, n)
-    codes_r = _discrete_codes(right, n)
-    radix = int(codes_r.max()) + 1
-    joint, _ = _dense(codes_l * radix + codes_r, (int(codes_l.max()) + 1) * radix)
-    h_l = _entropy_from_codes(codes_l)
-    h_r = _entropy_from_codes(codes_r)
-    h_lr = _entropy_from_codes(joint)
-    return max(0.0, h_l + h_r - h_lr)
+def _discrete_codes(columns: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Each row's rank among the distinct rows: the row codes of
+    np.unique(axis=0) on the stacked columns, without sorting rows."""
+    return _dense(*_fold_rows(columns, n))[0]
 
 
 def _require_discrete(kinds: Iterable[ColumnKind], estimator: str) -> None:
@@ -275,25 +270,50 @@ def _bin_column(col: np.ndarray, kind: ColumnKind, bins: int) -> np.ndarray:
     return np.digitize(col, edges).astype(np.float64)
 
 
-def _prebinned(data: Dataset, kind: EstimatorKind) -> Dataset:
-    """The dataset with each continuous column replaced by its Binned bins.
+class _PluginTable:
+    """One dataset's plug-in columns, each binned (under Binned) and cast
+    to integer digits once, and the entropy of each column group coded so
+    far.
 
-    Bins depend only on the whole column, so binned estimates on the result
-    equal those on the original while each column is binned once.
+    A group's entropy depends only on the sorted multiset of its row
+    counts, never on column order or on how rows are coded, and IEEE
+    addition commutes. So mi(L, R) from remembered entropies is bit for
+    bit what coding L, R and their joint afresh gives, in either order.
     """
-    if not isinstance(kind, Binned) or data.all_discrete:
-        return data
-    features = np.array(data.features)
-    for i, col_kind in enumerate(data.kinds):
-        features[:, i] = _bin_column(features[:, i], col_kind, kind.bins)
-    bin_kind = ColumnKind.discrete(kind.bins)
-    return replace(
-        data,
-        features=features,
-        target=_bin_column(data.target, data.target_kind, kind.bins),
-        kinds=tuple(k if k.is_discrete else bin_kind for k in data.kinds),
-        target_kind=data.target_kind if data.target_kind.is_discrete else bin_kind,
-    )
+
+    def __init__(self, data: Dataset, kind: ExactDiscrete | Binned):
+        self.data = data
+        self.kind = kind
+        self._digits: dict[int, np.ndarray] = {}
+        self._entropies: dict[tuple[int, ...], float] = {}
+
+    def mi(self, left: tuple[int, ...], right: tuple[int, ...]) -> float:
+        # I(G;G) keys its joint as G itself, so it stays H(G).
+        joint = tuple(sorted({*left, *right}))
+        return max(0.0, self.entropy(left) + self.entropy(right) - self.entropy(joint))
+
+    def entropy(self, ids: tuple[int, ...]) -> float:
+        """H of the sorted column group ids, in nats."""
+        h = self._entropies.get(ids)
+        if h is None:
+            n = self.data.n_samples
+            counts = _code_counts(*_fold_rows([self._column(i) for i in ids], n))
+            # Sorted, the summation order depends only on the count multiset.
+            counts = np.sort(counts)
+            h = max(0.0, math.log(n) - float(counts @ np.log(counts)) / n)
+            self._entropies[ids] = h
+        return h
+
+    def _column(self, col_id: int) -> np.ndarray:
+        digits = self._digits.get(col_id)
+        if digits is None:
+            col = _columns(self.data, (col_id,))[0]
+            if isinstance(self.kind, Binned):
+                col = _bin_column(col, _kinds(self.data, (col_id,))[0], self.kind.bins)
+            # The narrowest signed type that holds every digit.
+            digits = col.astype(np.min_scalar_type(-int(col.max()) - 1))
+            self._digits[col_id] = digits
+        return digits
 
 
 def subsample_rows(n: int, fraction: float, rep_seed: int) -> np.ndarray:
@@ -354,19 +374,23 @@ class _KsgSample:
         return col
 
 
-# The last dataset's prepared columns. Dataset arrays are read-only, so the
-# dataset's identity keys them; holding the dataset keeps that identity from
-# being reused by another. Every prepared column is a function of the data,
-# the Ksg settings, the seed and the column id alone, so callers sharing the
-# store cannot see each other's results change.
-_ksg_sample: _KsgSample | None = None
+# The last dataset's store: its ksg columns or its plug-in entropies.
+# Dataset arrays are read-only, so the dataset's identity keys it; holding
+# the dataset keeps that identity from being reused by another. Everything
+# a store holds is a function of the data, the estimator kind and (for ksg)
+# the seed and column id alone, so callers sharing it cannot see each
+# other's results change.
+_store: _KsgSample | _PluginTable | None = None
 
 
-def _prepared(data: Dataset, kind: Ksg) -> _KsgSample:
-    global _ksg_sample
-    if _ksg_sample is None or _ksg_sample.data is not data or _ksg_sample.kind != kind:
-        _ksg_sample = _KsgSample(data, kind)
-    return _ksg_sample
+def _prepared(data: Dataset, kind: EstimatorKind) -> _KsgSample | _PluginTable | None:
+    """The store of (data, kind); None for mine, which keeps none."""
+    global _store
+    if isinstance(kind, Mine):
+        return None
+    if _store is None or _store.data is not data or _store.kind != kind:
+        _store = (_KsgSample if isinstance(kind, Ksg) else _PluginTable)(data, kind)
+    return _store
 
 
 # Wider marginals probe this many nearest neighbours before any ball query;
@@ -473,36 +497,28 @@ def _estimate_once(
     left_ids: tuple[int, ...],
     right_ids: tuple[int, ...],
     kind: EstimatorKind,
-    sample: _KsgSample | None,
+    store: _KsgSample | _PluginTable | None,
     rep_seed: int,
 ) -> float:
-    """One repetition's estimate. sample is the _prepared store of
-    (data, kind) for ksg, which gathers its columns from it, and None for
-    every other kind."""
-    left = _columns(data, left_ids)
-    right = _columns(data, right_ids)
-    left_kinds = _kinds(data, left_ids)
-    right_kinds = _kinds(data, right_ids)
+    """One repetition's estimate. store is the _prepared store of
+    (data, kind), which ksg gathers its columns from and the plug-in kinds
+    read their entropies from; None for mine."""
+    if isinstance(kind, Ksg):
+        return ksg_mi(store.matrix(left_ids, rep_seed),
+                      store.matrix(right_ids, rep_seed), kind.k)
 
     if isinstance(kind, ExactDiscrete):
-        _require_discrete((*left_kinds, *right_kinds), "exact discrete")
-        return _plugin_mi(left, right)
-
-    if isinstance(kind, Binned):
-        return _plugin_mi(
-            [_bin_column(c, k, kind.bins) for c, k in zip(left, left_kinds)],
-            [_bin_column(c, k, kind.bins) for c, k in zip(right, right_kinds)],
-        )
-
-    if isinstance(kind, Ksg):
-        return ksg_mi(sample.matrix(left_ids, rep_seed),
-                      sample.matrix(right_ids, rep_seed), kind.k)
+        _require_discrete(_kinds(data, left_ids + right_ids), "exact discrete")
+    if isinstance(kind, (ExactDiscrete, Binned)):
+        return store.mi(left_ids, right_ids)
 
     if isinstance(kind, Mine):
         from . import mine
 
         return mine.mine_estimate(
-            np.column_stack(left), np.column_stack(right), kind.config, rep_seed
+            np.column_stack(_columns(data, left_ids)),
+            np.column_stack(_columns(data, right_ids)),
+            kind.config, rep_seed,
         )
 
     raise ConfigError(f"unknown estimator kind {kind!r}")
@@ -543,8 +559,8 @@ def estimate_mi(
     seeds = cfg.seeds()
     if not left_ids or not right_ids:
         return EstimateEnsemble.constant(0.0, seeds)
-    sample = _prepared(data, cfg.kind) if isinstance(cfg.kind, Ksg) else None
-    once = partial(_estimate_once, data, left_ids, right_ids, cfg.kind, sample)
+    once = partial(_estimate_once, data, left_ids, right_ids, cfg.kind,
+                   _prepared(data, cfg.kind))
     if cfg.is_deterministic:
         return EstimateEnsemble.constant(once(seeds[0]), seeds)
     # Each repetition draws only from its own seed's streams, and a ksg

@@ -93,14 +93,14 @@ class MiCache:
 
     Keys are canonicalized so I(A;B) and I(B;A) share one entry computed in
     one fixed orientation, making symmetry bit-exact even for estimators
-    that are only statistically symmetric. Binned runs bin each continuous
-    column once, up front.
+    that are only statistically symmetric. A miss goes to estimate_mi,
+    whose per-dataset store bins and casts each column once and, for the
+    plug-in kinds, computes each column group's entropy once.
     """
 
     def __init__(self, data: Dataset, cfg: EstimatorConfig):
         self.data = data
         self.cfg = cfg
-        self._source = estimators._prebinned(data, cfg.kind)
         self._cache: dict[tuple[tuple[int, ...], tuple[int, ...]], EstimateEnsemble] = {}
 
     @staticmethod
@@ -116,7 +116,7 @@ class MiCache:
         hit = self._cache.get(key)
         if hit is None:
             hit = estimators.estimate_mi(
-                self._source, self._as_group(key[0]), self._as_group(key[1]), self.cfg
+                self.data, self._as_group(key[0]), self._as_group(key[1]), self.cfg
             )
             self._cache[key] = hit
         return hit

@@ -1,6 +1,7 @@
 """Estimator tests: exact plug-in vs the counting oracle, KSG accuracy on
 Gaussians, binning behavior, repetition seeding, and error paths."""
 
+import itertools
 import math
 import multiprocessing
 import os
@@ -205,6 +206,133 @@ class TestBinned:
         )
         run_pidf(data, EstimatorConfig(kind=Binned(), repetitions=2))
         assert len(binned) == 4
+
+
+def three_entropy_mi(left, right):
+    """The plug-in MI with nothing shared between estimates: code both
+    sides and their joint afresh, then max(0, h_l + h_r - h_lr)."""
+    n = left[0].shape[0]
+
+    def entropy(columns):
+        codes = np.unique(np.column_stack(columns), axis=0, return_inverse=True)[1]
+        counts = np.bincount(codes.ravel())
+        counts = np.sort(counts[counts > 0])
+        return max(0.0, math.log(n) - float(counts @ np.log(counts)) / n)
+
+    return max(0.0, entropy(left) + entropy(right) - entropy([*left, *right]))
+
+
+@st.composite
+def plugin_tables(draw):
+    """A table of up to 3 features and a target, all discrete, or all
+    continuous with many ties."""
+    rows = draw(st.integers(min_value=1, max_value=60))
+    cols = draw(st.integers(min_value=2, max_value=4))
+    cardinality = draw(st.integers(min_value=1, max_value=5))
+    values = st.integers(min_value=0, max_value=cardinality - 1).map(float)
+    table = draw(arrays(np.float64, (rows, cols), elements=values))
+    kind = ColumnKind.discrete(cardinality)
+    if draw(st.booleans()):
+        table = table + draw(arrays(np.float64, (rows, cols),
+                                    elements=st.sampled_from((0.0, 0.25, 0.5))))
+        kind = ColumnKind.continuous()
+    return Dataset(
+        feature_names=tuple(f"f{i}" for i in range(cols - 1)),
+        features=table[:, 1:],
+        target=table[:, 0],
+        kinds=(kind,) * (cols - 1),
+        target_kind=kind,
+    )
+
+
+def group_pairs(n_features):
+    """Every ordered pair of the target and non-empty feature groups that
+    are disjoint or identical."""
+    groups = [TARGET] + [
+        FeatureSubset(ids) for width in range(1, n_features + 1)
+        for ids in itertools.combinations(range(n_features), width)
+    ]
+    ids = [() if g is TARGET else g.indices for g in groups]
+    for (a, ia), (b, ib) in itertools.product(zip(groups, ids), repeat=2):
+        if a is b or not set(ia) & set(ib):
+            yield a, b
+
+
+class TestPluginTable:
+    """exact and binned estimates read each column group's entropy from one
+    per-dataset store, with the bytes of coding every estimate afresh."""
+
+    @given(plugin_tables())
+    @settings(max_examples=60, deadline=None)
+    def test_shared_entropies_give_the_three_entropy_bytes(self, data):
+        kinds = [Binned(bins=3)] + ([ExactDiscrete()] if data.all_discrete else [])
+        for kind in kinds:
+            cfg = EstimatorConfig(kind=kind, repetitions=1)
+
+            def columns(group):
+                ids = (-1,) if group is TARGET else group.indices
+                col_kinds = estimators._kinds(data, ids)
+                cols = estimators._columns(data, ids)
+                if isinstance(kind, Binned):
+                    cols = [estimators._bin_column(c, k, kind.bins)
+                            for c, k in zip(cols, col_kinds)]
+                return cols
+
+            for left, right in group_pairs(data.n_features):
+                value = estimate_mi(data, left, right, cfg).estimates[0]
+                expected = three_entropy_mi(columns(left), columns(right))
+                assert value.hex() == expected.hex(), (kind, left, right)
+
+    def test_run_computes_each_group_entropy_once(self, monkeypatch):
+        from test_plugin_pins import binary_table
+
+        folded = []
+        real = estimators._fold_rows
+
+        def counted(columns, n):
+            folded.append(len(columns))
+            return real(columns, n)
+
+        monkeypatch.setattr(estimators, "_fold_rows", counted)
+        run_pidf(binary_table(20000, 12, 1))
+        assert len(folded) == 121
+
+    def test_other_bins_get_a_fresh_store(self):
+        data = gaussian_pair(0.8, 2000)
+        cfg8 = EstimatorConfig(kind=Binned(bins=8), repetitions=1)
+        cfg4 = EstimatorConfig(kind=Binned(bins=4), repetitions=1)
+        eight = estimate_mi(data, F(0), TARGET, cfg8).estimates[0]
+        four = estimate_mi(data, F(0), TARGET, cfg4).estimates[0]
+        x, y = (estimators._bin_column(c, ColumnKind.continuous(), 4)
+                for c in (data.features[:, 0], data.target))
+        assert four.hex() == three_entropy_mi([x], [y]).hex()
+        assert four != eight
+
+    def test_another_dataset_gets_a_fresh_store(self, monkeypatch):
+        folded = []
+        real = estimators._fold_rows
+
+        def counted(columns, n):
+            folded.append(len(columns))
+            return real(columns, n)
+
+        monkeypatch.setattr(estimators, "_fold_rows", counted)
+        first = random_dataset(11)
+        twin = Dataset(
+            feature_names=first.feature_names, features=first.features,
+            target=first.target, kinds=first.kinds, target_kind=first.target_kind,
+        )
+        cfg = exact_cfg()
+        value = estimate_mi(first, F(0), TARGET, cfg).estimates[0]
+        assert len(folded) == 3
+        assert estimate_mi(twin, F(0), TARGET, cfg).estimates[0] == value
+        assert len(folded) == 6
+        # Datasets made and dropped one after another never read each
+        # other's entropies, whatever identities they get.
+        for seed in range(20):
+            data = random_dataset(seed)
+            assert estimate_mi(data, F(0), TARGET, cfg).estimates[0] == \
+                pytest.approx(oracle_mi(data, F(0), TARGET), abs=1e-9)
 
 
 class TestKsg:
