@@ -230,29 +230,32 @@ def _fold_rows(columns: Sequence[np.ndarray], n: int) -> tuple[np.ndarray, int]:
     mixed-radix code, first column most significant.
 
     Returns the codes and a bound on them. Distinct rows get distinct
-    codes, ordered as np.unique(axis=0) orders the stacked rows. The
-    partial code is re-ranked before it would overflow.
+    codes, ordered as np.unique(axis=0) orders the stacked rows. Each
+    column folds in the narrowest signed type that holds the new bound,
+    and the partial code is re-ranked before it would overflow int64.
+    The given columns are never written into; a lone integer column is
+    returned as its own codes.
     """
-    code = np.zeros(n, dtype=np.int64)
-    span = 1
+    code, span = None, 1
     for column in columns:
         # Signed integer digits of any width add into the code as they are.
         digits = column if column.dtype.kind == "i" else column.astype(np.int64)
         radix = int(digits.max()) + 1
+        if span == 1:
+            # A code with one value is all zeros, so the digits are the fold.
+            code, span = digits, radix
+            continue
         if span * radix >= _CODE_LIMIT:
             code, span = _dense(code, span)
             if span * radix >= _CODE_LIMIT:
                 digits, radix = _dense(digits, radix)
+        span *= radix
+        code = code.astype(np.min_scalar_type(-span))
         code *= radix
         code += digits
-        span *= radix
+    if code is None:
+        code = np.zeros(n, dtype=np.int8)
     return code, span
-
-
-def _discrete_codes(columns: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """Each row's rank among the distinct rows: the row codes of
-    np.unique(axis=0) on the stacked columns, without sorting rows."""
-    return _dense(*_fold_rows(columns, n))[0]
 
 
 def _require_discrete(kinds: Iterable[ColumnKind], estimator: str) -> None:
@@ -290,19 +293,31 @@ class _PluginTable:
     def mi(self, left: tuple[int, ...], right: tuple[int, ...]) -> float:
         # I(G;G) keys its joint as G itself, so it stays H(G).
         joint = tuple(sorted({*left, *right}))
+        fresh = [ids for ids in (left, right) if ids not in self._entropies]
+        if fresh and joint not in self._entropies and left != right:
+            # The joint folds from a side coded now, the wider one if both
+            # are: I(Y; S) folds S and then one more column, not S twice.
+            side = max(fresh, key=len)
+            other = right if side is left else left
+            code = self._code(side, [self._column(i) for i in side])
+            self._code(joint, [code, *(self._column(i) for i in other)])
         return max(0.0, self.entropy(left) + self.entropy(right) - self.entropy(joint))
 
     def entropy(self, ids: tuple[int, ...]) -> float:
         """H of the sorted column group ids, in nats."""
-        h = self._entropies.get(ids)
-        if h is None:
-            n = self.data.n_samples
-            counts = _code_counts(*_fold_rows([self._column(i) for i in ids], n))
-            # Sorted, the summation order depends only on the count multiset.
-            counts = np.sort(counts)
-            h = max(0.0, math.log(n) - float(counts @ np.log(counts)) / n)
-            self._entropies[ids] = h
-        return h
+        if ids not in self._entropies:
+            self._code(ids, [self._column(i) for i in ids])
+        return self._entropies[ids]
+
+    def _code(self, ids: tuple[int, ...], columns: list[np.ndarray]) -> np.ndarray:
+        """Fold columns that tell rows apart as group ids does into row
+        codes; remember the group's entropy and return the codes."""
+        n = self.data.n_samples
+        code, span = _fold_rows(columns, n)
+        # Sorted, the summation order depends only on the count multiset.
+        counts = np.sort(_code_counts(code, span))
+        self._entropies[ids] = max(0.0, math.log(n) - float(counts @ np.log(counts)) / n)
+        return code
 
     def _column(self, col_id: int) -> np.ndarray:
         digits = self._digits.get(col_id)

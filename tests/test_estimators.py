@@ -43,8 +43,9 @@ from pidf.estimators import (
     _PROBE_WIDTH,
     _KsgSample,
     _ball_counts,
-    _discrete_codes,
+    _dense,
     _estimate_once,
+    _fold_rows,
     ksg_mi,
     subsample_rows,
 )
@@ -137,7 +138,7 @@ def unique_row_codes(matrix):
 
 
 def row_codes(matrix):
-    return _discrete_codes(list(matrix.T), matrix.shape[0])
+    return _dense(*_fold_rows(list(matrix.T), matrix.shape[0]))[0]
 
 
 class TestDiscreteCodes:
@@ -245,6 +246,35 @@ def plugin_tables(draw):
     )
 
 
+@st.composite
+def wide_code_tables(draw):
+    """A discrete table of 2 to 4 columns, target first, with tied values
+    and repeated rows. Cardinalities up to 300 put the joint spans past
+    2**7, 2**15 and 2**31, so row codes take every width int8 to int64."""
+    cols = draw(st.integers(min_value=2, max_value=4))
+    cardinality = st.one_of(st.integers(min_value=1, max_value=300),
+                            st.integers(min_value=216, max_value=300))
+    cardinalities = draw(st.lists(cardinality, min_size=cols, max_size=cols))
+    distinct = [
+        draw(st.lists(st.integers(min_value=0, max_value=c - 1), min_size=1, max_size=6))
+        for c in cardinalities
+    ]
+    rows = draw(st.lists(st.tuples(*(st.sampled_from(v) for v in distinct)),
+                         min_size=1, max_size=12))
+    rows = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=50))
+    # A row of every column's largest value makes the spans the products
+    # of the cardinalities.
+    table = np.array([[c - 1 for c in cardinalities], *rows], dtype=np.float64)
+    kinds = tuple(ColumnKind.discrete(c) for c in cardinalities)
+    return Dataset(
+        feature_names=tuple(f"f{i}" for i in range(cols - 1)),
+        features=table[:, 1:],
+        target=table[:, 0],
+        kinds=kinds[1:],
+        target_kind=kinds[0],
+    )
+
+
 def group_pairs(n_features):
     """Every ordered pair of the target and non-empty feature groups that
     are disjoint or identical."""
@@ -283,6 +313,21 @@ class TestPluginTable:
                 expected = three_entropy_mi(columns(left), columns(right))
                 assert value.hex() == expected.hex(), (kind, left, right)
 
+    @given(wide_code_tables(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_joint_from_a_side_at_code_widths(self, data, random):
+        # Shuffled, a pair's sides are sometimes remembered from an earlier
+        # pair and sometimes coded afresh, with the joint folded from them.
+        pairs = list(group_pairs(data.n_features))
+        random.shuffle(pairs)
+        for kind in (ExactDiscrete(), Binned(bins=3)):
+            cfg = EstimatorConfig(kind=kind, repetitions=1)
+            for left, right in pairs:
+                value = estimate_mi(data, left, right, cfg).estimates[0]
+                ids = [(-1,) if g is TARGET else g.indices for g in (left, right)]
+                expected = three_entropy_mi(*(estimators._columns(data, i) for i in ids))
+                assert value.hex() == expected.hex(), (kind, left, right)
+
     def test_run_computes_each_group_entropy_once(self, monkeypatch):
         from test_plugin_pins import binary_table
 
@@ -296,6 +341,25 @@ class TestPluginTable:
         monkeypatch.setattr(estimators, "_fold_rows", counted)
         run_pidf(binary_table(20000, 12, 1))
         assert len(folded) == 121
+
+    def test_run_folds_each_joint_from_a_side(self, monkeypatch):
+        from test_plugin_pins import binary_table
+
+        folded = []
+        real = estimators._fold_rows
+
+        def counted(columns, n):
+            code, span = real(columns, n)
+            folded.append((len(columns), code.dtype, span))
+            return code, span
+
+        monkeypatch.setattr(estimators, "_fold_rows", counted)
+        run_pidf(binary_table(20000, 12, 1))
+        assert len(folded) == 121
+        assert sum(width for width, _, _ in folded) == 363
+        # Each code has the narrowest signed type that holds its span.
+        assert all(dtype == np.min_scalar_type(-span) for _, dtype, span in folded)
+        assert {dtype.name for _, dtype, _ in folded} == {"int8", "int16"}
 
     def test_other_bins_get_a_fresh_store(self):
         data = gaussian_pair(0.8, 2000)
