@@ -217,11 +217,10 @@ def _dense(code: np.ndarray, span: int) -> tuple[np.ndarray, int]:
 
 
 def _code_counts(code: np.ndarray, span: int) -> np.ndarray:
-    """How often each distinct code in [0, span) occurs, in code order."""
+    """How often each code in [0, span) occurs; absent codes may count 0."""
     # Counted by marking below span = 4n and by sorting above, as in _dense.
     if span <= 4 * code.shape[0]:
-        counts = np.bincount(code)
-        return counts[counts > 0]
+        return np.bincount(code)
     return np.unique(code, return_counts=True)[1]
 
 
@@ -273,15 +272,54 @@ def _bin_column(col: np.ndarray, kind: ColumnKind, bins: int) -> np.ndarray:
     return np.digitize(col, edges).astype(np.float64)
 
 
+# The count table covers the columns of at most this many values (radix).
+# Its product costs about radix**2 per pair of columns and row, against a
+# fold per pair; on 2,000 to 20,000 rows the two break even near radix 4.
+_TABLE_RADIX = 4
+# It holds at most this many indicator rows, the sum of its columns'
+# radices, so it stays within 512 KiB; past it, every group folds.
+_TABLE_WIDTH = 256
+# Indicators are built and multiplied this many rows at a time. Each float32
+# sum stays an exact integer (far below 2**24), and a chunk of indicators
+# stays within 4 MiB.
+_TABLE_ROWS = 4096
+
+
+def _pair_counts(digits: Sequence[np.ndarray], radices: Sequence[int], n: int) -> np.ndarray:
+    """Stack each column's 0/1 indicator rows, one per value below its radix;
+    return the product of the stack with itself, summed over all n rows.
+
+    The block of two columns counts the rows holding each pair of their
+    values, and the diagonal of a column's own block counts each value.
+    """
+    width = sum(radices)
+    counts = np.zeros((width, width), dtype=np.int64)
+    for start in range(0, n, _TABLE_ROWS):
+        rows = slice(start, start + _TABLE_ROWS)
+        ind = np.empty((width, min(_TABLE_ROWS, n - start)), dtype=np.float32)
+        top = 0
+        for column, radix in zip(digits, radices):
+            values = np.arange(radix, dtype=column.dtype)[:, None]
+            np.equal(column[rows], values, out=ind[top:top + radix], casting="unsafe")
+            top += radix
+        counts += (ind @ ind.T).astype(np.int64)
+    return counts
+
+
 class _PluginTable:
     """One dataset's plug-in columns, each binned (under Binned) and cast
-    to integer digits once, and the entropy of each column group coded so
-    far.
+    to integer digits once, and the entropy of each column group computed
+    so far.
+
+    Singletons and pairs of columns of small radix read their row counts
+    from one count table of indicator products (see _pair_counts), built on
+    the first such request while the indicators stay within _TABLE_WIDTH
+    rows. Every other group folds its rows into codes and counts them.
 
     A group's entropy depends only on the sorted multiset of its row
-    counts, never on column order or on how rows are coded, and IEEE
-    addition commutes. So mi(L, R) from remembered entropies is bit for
-    bit what coding L, R and their joint afresh gives, in either order.
+    counts, never on column order or on how rows are coded or counted, and
+    IEEE addition commutes. So mi(L, R) from remembered entropies is bit
+    for bit what coding L, R and their joint afresh gives, in either order.
     """
 
     def __init__(self, data: Dataset, kind: ExactDiscrete | Binned):
@@ -289,12 +327,15 @@ class _PluginTable:
         self.kind = kind
         self._digits: dict[int, np.ndarray] = {}
         self._entropies: dict[tuple[int, ...], float] = {}
+        # Column id -> its indicator rows in _counts; None until built.
+        self._rows: dict[int, slice] | None = None
+        self._counts: np.ndarray | None = None
 
     def mi(self, left: tuple[int, ...], right: tuple[int, ...]) -> float:
         # I(G;G) keys its joint as G itself, so it stays H(G).
         joint = tuple(sorted({*left, *right}))
-        fresh = [ids for ids in (left, right) if ids not in self._entropies]
-        if fresh and joint not in self._entropies and left != right:
+        fresh = [ids for ids in (left, right) if not self._known(ids)]
+        if fresh and not self._known(joint) and left != right:
             # The joint folds from a side coded now, the wider one if both
             # are: I(Y; S) folds S and then one more column, not S twice.
             side = max(fresh, key=len)
@@ -306,18 +347,54 @@ class _PluginTable:
     def entropy(self, ids: tuple[int, ...]) -> float:
         """H of the sorted column group ids, in nats."""
         if ids not in self._entropies:
-            self._code(ids, [self._column(i) for i in ids])
+            if self._tabled(ids):
+                block = self._counts[self._rows[ids[0]], self._rows[ids[-1]]]
+                self._remember(ids, np.diagonal(block) if len(ids) == 1 else block)
+            else:
+                self._code(ids, [self._column(i) for i in ids])
         return self._entropies[ids]
+
+    def _known(self, ids: tuple[int, ...]) -> bool:
+        """Whether H(ids) is remembered or read without folding."""
+        return ids in self._entropies or self._tabled(ids)
+
+    def _tabled(self, ids: tuple[int, ...]) -> bool:
+        """Whether the count table holds group ids; builds it on the first
+        singleton or pair."""
+        if len(ids) > 2:
+            return False
+        if self._rows is None:
+            self._build_table()
+        return ids[0] in self._rows and ids[-1] in self._rows
+
+    def _build_table(self) -> None:
+        # exact covers only discrete columns: a continuous one cast to digits
+        # can have a huge or negative maximum. Binned covers every column.
+        data, binned = self.data, isinstance(self.kind, Binned)
+        ids = [i for i in range(_TARGET_ID, data.n_features)
+               if binned or _kinds(data, (i,))[0].is_discrete]
+        radices = {i: int(self._column(i).max()) + 1 for i in ids}
+        radices = {i: r for i, r in radices.items() if r <= _TABLE_RADIX}
+        self._rows = {}
+        if 0 < sum(radices.values()) <= _TABLE_WIDTH:
+            tops = np.cumsum([0, *radices.values()]).tolist()
+            self._rows = {i: slice(a, b) for i, a, b in zip(radices, tops, tops[1:])}
+            self._counts = _pair_counts([self._column(i) for i in radices],
+                                        list(radices.values()), data.n_samples)
 
     def _code(self, ids: tuple[int, ...], columns: list[np.ndarray]) -> np.ndarray:
         """Fold columns that tell rows apart as group ids does into row
         codes; remember the group's entropy and return the codes."""
-        n = self.data.n_samples
-        code, span = _fold_rows(columns, n)
-        # Sorted, the summation order depends only on the count multiset.
-        counts = np.sort(_code_counts(code, span))
-        self._entropies[ids] = max(0.0, math.log(n) - float(counts @ np.log(counts)) / n)
+        code, span = _fold_rows(columns, self.data.n_samples)
+        self._remember(ids, _code_counts(code, span))
         return code
+
+    def _remember(self, ids: tuple[int, ...], counts: np.ndarray) -> None:
+        """Store H of group ids from its row counts, zeros allowed."""
+        n = self.data.n_samples
+        # Sorted, the summation order depends only on the count multiset.
+        counts = np.sort(counts[counts > 0])
+        self._entropies[ids] = max(0.0, math.log(n) - float(counts @ np.log(counts)) / n)
 
     def _column(self, col_id: int) -> np.ndarray:
         digits = self._digits.get(col_id)

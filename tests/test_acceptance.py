@@ -38,8 +38,10 @@ from pidf import (
 )
 
 from instances import random_population_instance
+from pidf.types import philox
 
 LN2 = math.log(2.0)
+KSG_DRAWS = 10
 
 
 def _emit(capsys, num: int, label: str, failures: list, elapsed: float | None = None) -> None:
@@ -201,22 +203,31 @@ def test_criterion_5_estimator_accuracy(capsys):
     if worst > 1e-9:
         failures.append(f"exact estimator max deviation {worst:.2e}")
 
+    # KSG is checked by its mean error over ten 5000-row draws per rho: one
+    # draw's error spreads by 0.01-0.02 nats, so a single draw can miss the
+    # bound with no bias in the estimator. Draw d of rho comes from the
+    # stream philox(d, round(10 * rho)), the same in every process.
+    ksg_cfg = EstimatorConfig(kind=Ksg(), repetitions=5, base_seed=0)
     for rho in (0.2, 0.5, 0.8):
-        rng = np.random.default_rng(hash(("gauss", rho)) % 2**32)
-        cov = [[1.0, rho], [rho, 1.0]]
-        xy = rng.multivariate_normal([0.0, 0.0], cov, size=5000)
-        data = Dataset(
-            feature_names=("x",),
-            features=xy[:, :1],
-            target=xy[:, 1],
-            kinds=(datasets.ColumnKind.continuous(),),
-            target_kind=datasets.ColumnKind.continuous(),
-        )
-        ksg_cfg = EstimatorConfig(kind=Ksg(), repetitions=5, base_seed=0)
-        est = estimate_mi(data, FeatureSubset.of(0), TARGET, ksg_cfg).mean
         true = -0.5 * math.log1p(-rho * rho)
-        if abs(est - true) > 0.03:
-            failures.append(f"ksg rho={rho}: {est:.4f} vs {true:.4f}")
+        errors = []
+        for draw in range(KSG_DRAWS):
+            cov = [[1.0, rho], [rho, 1.0]]
+            xy = philox(draw, round(10 * rho)).multivariate_normal(
+                [0.0, 0.0], cov, size=5000)
+            data = Dataset(
+                feature_names=("x",),
+                features=xy[:, :1],
+                target=xy[:, 1],
+                kinds=(datasets.ColumnKind.continuous(),),
+                target_kind=datasets.ColumnKind.continuous(),
+            )
+            est = estimate_mi(data, FeatureSubset.of(0), TARGET, ksg_cfg).mean
+            errors.append(est - true)
+        mean = sum(errors) / len(errors)
+        if abs(mean) > 0.03:
+            failures.append(f"ksg rho={rho}: mean error {mean:+.4f} over "
+                            f"{len(errors)} draws, true {true:.4f}")
 
     _emit(capsys, 5, "estimator accuracy (exact + ksg)", failures)
     assert not failures, failures

@@ -288,6 +288,89 @@ def group_pairs(n_features):
             yield a, b
 
 
+def plugin_kinds(data):
+    """The plug-in kinds a table can take: Binned at 2, 3 and 8 bins, and
+    exact when every column is discrete."""
+    return [Binned(bins=b) for b in (2, 3, 8)] + \
+        ([ExactDiscrete()] if data.all_discrete else [])
+
+
+def plugin_columns(data, kind, group):
+    """The columns of group as a plug-in estimate sees them."""
+    ids = (-1,) if group is TARGET else group.indices
+    cols = estimators._columns(data, ids)
+    if isinstance(kind, Binned):
+        cols = [estimators._bin_column(c, k, kind.bins)
+                for c, k in zip(cols, estimators._kinds(data, ids))]
+    return cols
+
+
+def assert_three_entropy_bytes(data, kind, pairs):
+    """Each pair's estimate under kind equals three_entropy_mi by float.hex."""
+    cfg = EstimatorConfig(kind=kind, repetitions=1)
+    for left, right in pairs:
+        value = estimate_mi(data, left, right, cfg).estimates[0]
+        expected = three_entropy_mi(plugin_columns(data, kind, left),
+                                    plugin_columns(data, kind, right))
+        assert value.hex() == expected.hex(), (kind, left, right)
+
+
+@st.composite
+def count_tables(draw):
+    """A target and up to 3 features. Each column is discrete of 1 to 6
+    values (1 is a constant column; past 4 the count table leaves it out)
+    or continuous with ties."""
+    rows = draw(st.integers(min_value=1, max_value=60))
+    cols = draw(st.integers(min_value=2, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    table, kinds = [], []
+    for _ in range(cols):
+        values = draw(st.integers(min_value=1, max_value=6))
+        column = rng.integers(0, values, size=rows).astype(np.float64)
+        if draw(st.booleans()):
+            table.append(column)
+            kinds.append(ColumnKind.discrete(values))
+        else:
+            table.append(column + rng.choice((0.0, 0.25, 0.5), size=rows))
+            kinds.append(ColumnKind.continuous())
+    return Dataset(
+        feature_names=tuple(f"f{i}" for i in range(cols - 1)),
+        features=np.column_stack(table[1:]),
+        target=table[0],
+        kinds=tuple(kinds[1:]),
+        target_kind=kinds[0],
+    )
+
+
+@st.composite
+def bound_tables(draw):
+    """A discrete table whose count table would take _TABLE_WIDTH - 1,
+    _TABLE_WIDTH or _TABLE_WIDTH + 1 indicator rows: columns of 4 values,
+    the last of 3 values for one fewer, or a constant column for one
+    more. Returns the table and that width."""
+    width = estimators._TABLE_WIDTH + draw(st.sampled_from((-1, 0, 1)))
+    radix = estimators._TABLE_RADIX
+    radices = [radix] * (estimators._TABLE_WIDTH // radix)
+    if width < estimators._TABLE_WIDTH:
+        radices[-1] -= 1
+    elif width > estimators._TABLE_WIDTH:
+        radices.append(1)
+    rows = draw(st.integers(min_value=1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    # A row of every column's largest value makes each radix exact.
+    table = np.vstack([np.array(radices) - 1,
+                       rng.integers(0, radices, size=(rows, len(radices)))]).astype(np.float64)
+    kinds = tuple(ColumnKind.discrete(r) for r in radices)
+    data = Dataset(
+        feature_names=tuple(f"f{i}" for i in range(len(radices) - 1)),
+        features=table[:, 1:],
+        target=table[:, 0],
+        kinds=kinds[1:],
+        target_kind=kinds[0],
+    )
+    return data, width
+
+
 class TestPluginTable:
     """exact and binned estimates read each column group's entropy from one
     per-dataset store, with the bytes of coding every estimate afresh."""
@@ -297,21 +380,7 @@ class TestPluginTable:
     def test_shared_entropies_give_the_three_entropy_bytes(self, data):
         kinds = [Binned(bins=3)] + ([ExactDiscrete()] if data.all_discrete else [])
         for kind in kinds:
-            cfg = EstimatorConfig(kind=kind, repetitions=1)
-
-            def columns(group):
-                ids = (-1,) if group is TARGET else group.indices
-                col_kinds = estimators._kinds(data, ids)
-                cols = estimators._columns(data, ids)
-                if isinstance(kind, Binned):
-                    cols = [estimators._bin_column(c, k, kind.bins)
-                            for c, k in zip(cols, col_kinds)]
-                return cols
-
-            for left, right in group_pairs(data.n_features):
-                value = estimate_mi(data, left, right, cfg).estimates[0]
-                expected = three_entropy_mi(columns(left), columns(right))
-                assert value.hex() == expected.hex(), (kind, left, right)
+            assert_three_entropy_bytes(data, kind, group_pairs(data.n_features))
 
     @given(wide_code_tables(), st.randoms(use_true_random=False))
     @settings(max_examples=200, deadline=None)
@@ -331,35 +400,44 @@ class TestPluginTable:
     def test_run_computes_each_group_entropy_once(self, monkeypatch):
         from test_plugin_pins import binary_table
 
-        folded = []
-        real = estimators._fold_rows
+        stored = []
+        real = estimators._PluginTable._remember
 
-        def counted(columns, n):
-            folded.append(len(columns))
-            return real(columns, n)
+        def counted(self, ids, counts):
+            stored.append(ids)
+            return real(self, ids, counts)
 
-        monkeypatch.setattr(estimators, "_fold_rows", counted)
+        monkeypatch.setattr(estimators._PluginTable, "_remember", counted)
         run_pidf(binary_table(20000, 12, 1))
-        assert len(folded) == 121
+        assert len(stored) == 121
+        assert len(set(stored)) == 121
 
     def test_run_folds_each_joint_from_a_side(self, monkeypatch):
         from test_plugin_pins import binary_table
 
-        folded = []
-        real = estimators._fold_rows
+        coded, folded = [], []
+        real_code, real_fold = estimators._PluginTable._code, estimators._fold_rows
 
-        def counted(columns, n):
-            code, span = real(columns, n)
+        def code(self, ids, columns):
+            coded.append(ids)
+            return real_code(self, ids, columns)
+
+        def fold(columns, n):
+            code, span = real_fold(columns, n)
             folded.append((len(columns), code.dtype, span))
             return code, span
 
-        monkeypatch.setattr(estimators, "_fold_rows", counted)
+        monkeypatch.setattr(estimators._PluginTable, "_code", code)
+        monkeypatch.setattr(estimators, "_fold_rows", fold)
         run_pidf(binary_table(20000, 12, 1))
-        assert len(folded) == 121
-        assert sum(width for width, _, _ in folded) == 363
+        # Singletons and pairs come from the count table; only the 30 wider
+        # groups fold, each joint of a new side from that side's codes.
+        assert len(coded) == len(folded) == 30
+        assert all(len(ids) > 2 for ids in coded)
+        assert sum(width for width, _, _ in folded) == 194
         # Each code has the narrowest signed type that holds its span.
         assert all(dtype == np.min_scalar_type(-span) for _, dtype, span in folded)
-        assert {dtype.name for _, dtype, _ in folded} == {"int8", "int16"}
+        assert {dtype.name for _, dtype, _ in folded} == {"int16"}
 
     def test_other_bins_get_a_fresh_store(self):
         data = gaussian_pair(0.8, 2000)
@@ -373,14 +451,19 @@ class TestPluginTable:
         assert four != eight
 
     def test_another_dataset_gets_a_fresh_store(self, monkeypatch):
-        folded = []
-        real = estimators._fold_rows
+        tables, folded = [], []
+        real_counts, real_fold = estimators._pair_counts, estimators._fold_rows
 
-        def counted(columns, n):
+        def counts(digits, radices, n):
+            tables.append(len(digits))
+            return real_counts(digits, radices, n)
+
+        def fold(columns, n):
             folded.append(len(columns))
-            return real(columns, n)
+            return real_fold(columns, n)
 
-        monkeypatch.setattr(estimators, "_fold_rows", counted)
+        monkeypatch.setattr(estimators, "_pair_counts", counts)
+        monkeypatch.setattr(estimators, "_fold_rows", fold)
         first = random_dataset(11)
         twin = Dataset(
             feature_names=first.feature_names, features=first.features,
@@ -388,15 +471,107 @@ class TestPluginTable:
         )
         cfg = exact_cfg()
         value = estimate_mi(first, F(0), TARGET, cfg).estimates[0]
-        assert len(folded) == 3
+        assert tables == [2] and folded == []
         assert estimate_mi(twin, F(0), TARGET, cfg).estimates[0] == value
-        assert len(folded) == 6
+        assert tables == [2, 2] and folded == []
         # Datasets made and dropped one after another never read each
         # other's entropies, whatever identities they get.
         for seed in range(20):
             data = random_dataset(seed)
             assert estimate_mi(data, F(0), TARGET, cfg).estimates[0] == \
                 pytest.approx(oracle_mi(data, F(0), TARGET), abs=1e-9)
+
+    @given(count_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_count_table_gives_the_three_entropy_bytes(self, data):
+        # Every I(a; b) of single columns, I(a; a) included, reads H(a),
+        # H(b) and H(a, b) from the count table where it covers them.
+        groups = [TARGET, *(F(i) for i in range(data.n_features))]
+        for kind in plugin_kinds(data):
+            assert_three_entropy_bytes(
+                data, kind, itertools.combinations_with_replacement(groups, 2))
+
+    @pytest.mark.parametrize("rows", [estimators._TABLE_ROWS - 1, estimators._TABLE_ROWS,
+                                      estimators._TABLE_ROWS + 1, 2 * estimators._TABLE_ROWS + 1])
+    def test_count_table_at_chunk_edges(self, rows):
+        # Columns the table covers (a constant one among them), one of 6
+        # values it leaves out and, under binned only, a continuous one.
+        # test_plugin_pins.py pins 20000-row tables, five chunks each.
+        rng = np.random.default_rng(rows)
+        cardinalities = (4, 2, 1, 6)
+        table = np.column_stack([rng.integers(0, c, size=rows) for c in cardinalities])
+        discrete = Dataset(
+            feature_names=("f0", "f1", "f2"),
+            features=table[:, 1:].astype(np.float64),
+            target=table[:, 0].astype(np.float64),
+            kinds=tuple(ColumnKind.discrete(c) for c in cardinalities[1:]),
+            target_kind=ColumnKind.discrete(cardinalities[0]),
+        )
+        ties = rng.integers(0, 6, size=rows) + rng.choice((0.0, 0.25, 0.5), size=rows)
+        mixed = Dataset(
+            feature_names=("f0", "f1", "f2", "f3"),
+            features=np.column_stack([discrete.features, ties]),
+            target=discrete.target,
+            kinds=(*discrete.kinds, ColumnKind.continuous()),
+            target_kind=discrete.target_kind,
+        )
+        for data in (discrete, mixed):
+            groups = [TARGET, *(F(i) for i in range(data.n_features))]
+            for kind in plugin_kinds(data):
+                assert_three_entropy_bytes(
+                    data, kind, itertools.combinations_with_replacement(groups, 2))
+
+    @given(bound_tables(), st.randoms(use_true_random=False))
+    @settings(max_examples=15, deadline=None)
+    def test_count_table_bound(self, case, random):
+        # Indicator widths just below, at and past _TABLE_WIDTH: past it,
+        # every singleton and pair folds, with the same bytes.
+        data, width = case
+        groups = [TARGET, *(F(i) for i in range(data.n_features))]
+        pairs = [(g, g) for g in groups] + random.sample(
+            list(itertools.combinations(groups, 2)), 40)
+        for kind in plugin_kinds(data):
+            assert_three_entropy_bytes(data, kind, pairs)
+            store = estimators._prepared(data, kind)
+            assert (store._counts is None) == (width > estimators._TABLE_WIDTH)
+
+    def test_exact_table_never_reads_a_continuous_column(self, monkeypatch):
+        read = []
+        real = estimators._columns
+
+        def recorded(data, ids):
+            read.extend(ids)
+            return real(data, ids)
+
+        monkeypatch.setattr(estimators, "_columns", recorded)
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2, size=(500, 2)).astype(np.float64)
+        data = Dataset(
+            feature_names=("f0", "f1", "f2"),
+            features=np.column_stack([bits[:, 0], rng.normal(size=500) * 1e6, bits[:, 1]]),
+            target=(bits[:, 0] + bits[:, 1]) % 2,
+            kinds=(ColumnKind.discrete(2), ColumnKind.continuous(), ColumnKind.discrete(2)),
+            target_kind=ColumnKind.discrete(2),
+        )
+        value = estimate_mi(data, F(0, 2), TARGET, exact_cfg()).estimates[0]
+        assert value.hex() == three_entropy_mi(
+            real(data, (0, 2)), real(data, (-1,))).hex()
+        value = estimate_mi(data, F(0), F(2), exact_cfg()).estimates[0]
+        assert value.hex() == three_entropy_mi(real(data, (0,)), real(data, (2,))).hex()
+        message = (
+            "exact discrete estimator requires discrete columns; "
+            "declare bins or use a continuous-capable estimator"
+        )
+        for left, right in ((F(1), TARGET), (F(0), F(1)), (F(1), F(1))):
+            with pytest.raises(EstimatorError) as err:
+                estimate_mi(data, left, right, exact_cfg())
+            assert str(err.value) == message
+        # run_pidf names the feature whose pass met the continuous column.
+        with pytest.raises(EstimatorError) as err:
+            run_pidf(data, exact_cfg())
+        assert str(err.value) == f"feature 'f0': {message}"
+        assert 1 not in read
+        assert sorted(estimators._prepared(data, ExactDiscrete())._rows) == [-1, 0, 2]
 
 
 class TestKsg:
