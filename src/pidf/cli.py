@@ -7,8 +7,8 @@ Subcommands:
   verify   cross-check the estimator pipeline against the exact oracle
 
 Exit codes: 0 success, 1 a verify/bench check failed, 2 bad configuration,
-3 dataset or file problems, 4 estimator failure, 5 exhaustive-search cap or
-oracle-unsupported input.
+3 dataset or file problems, 4 estimator failure (or a bench worker process
+that died), 5 exhaustive-search cap or oracle-unsupported input.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import argparse
 import logging
 import os
 import sys
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 from . import datasets, oracle, report as report_mod
@@ -28,6 +30,7 @@ from .estimators import (
     Mine,
     MineConfig,
     estimate_mi,
+    usable_cpus,
 )
 from .pidf import DEFAULT_ALPHA, DEFAULT_EPS_ZERO, default_config, run_pidf
 from .selection import confusion_counts, select_features
@@ -260,6 +263,60 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bench_seed(resolved: dict, task: tuple[str, int]) -> tuple[str, bool, tuple]:
+    """Analyze one (dataset, seed) of bench: its line, whether the selection
+    matched the ground truth, and the confusion counts a match has."""
+    dataset_id, seed = task
+    truth = datasets.GROUND_TRUTH[dataset_id]
+    spec = datasets.GeneratorSpec(
+        dataset=dataset_id,
+        n_samples=resolved["n"],
+        seed=seed,
+        terc_rule=resolved["terc_rule"],
+    )
+    data = datasets.generate(spec)
+    cfg = _estimator_config(resolved["estimator"], data, resolved["reps"], seed)
+    result = run_pidf(data, cfg, alpha=resolved["alpha"], eps_zero=resolved["eps_zero"])
+    selection = select_features(result)
+    confusion = confusion_counts(selection, truth)
+    expected = (len(truth), 0, data.n_features - len(truth), 0)
+    matched = confusion.as_tuple == expected
+    picked = _subset_label(selection.selected, data.feature_names)
+    line = (
+        f"{dataset_id} seed={seed} selected={picked} "
+        f"confusion={confusion.as_tuple} {'ok' if matched else 'MISS'}"
+    )
+    return line, matched, expected
+
+
+@contextmanager
+def _task_map(calls: int):
+    """Yield a map for that many independent calls: a pool's map over one
+    forked worker process per usable CPU, or the builtin map where only one
+    would work or fork is missing. Either gives the results in call order.
+
+    Forked workers start with this process's imports instead of importing
+    pidf and numpy again, as spawned ones would. The pool forks them on the
+    first call, so it must come before this process starts any thread. A
+    worker that dies ends the map with an EstimatorError.
+    """
+    workers = min(usable_cpus(), calls)
+    if workers < 2 or not hasattr(os, "fork"):
+        yield map
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool.map
+    except BrokenProcessPool as err:
+        raise EstimatorError(f"a bench worker process died: {err}") from err
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     resolved = _merge_config(
         args,
@@ -281,38 +338,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise ConfigError(f"unknown dataset id {dataset_id!r}")
         if dataset_id not in datasets.GROUND_TRUTH:
             raise ConfigError(f"dataset {dataset_id!r} has no ground truth")
+    seeds = resolved["seeds"]
+    tasks = [(dataset_id, seed) for dataset_id in ids for seed in range(seeds)]
     all_ok = True
-    for dataset_id in ids:
-        truth = datasets.GROUND_TRUTH[dataset_id]
-        matches = 0
-        seeds = range(resolved["seeds"])
-        for seed in seeds:
-            spec = datasets.GeneratorSpec(
-                dataset=dataset_id,
-                n_samples=resolved["n"],
-                seed=seed,
-                terc_rule=resolved["terc_rule"],
-            )
-            data = datasets.generate(spec)
-            cfg = _estimator_config(
-                resolved["estimator"], data, resolved["reps"], seed
-            )
-            result = run_pidf(
-                data, cfg, alpha=resolved["alpha"], eps_zero=resolved["eps_zero"]
-            )
-            selection = select_features(result)
-            confusion = confusion_counts(selection, truth)
-            expected = (len(truth), 0, data.n_features - len(truth), 0)
-            matched = confusion.as_tuple == expected
-            matches += matched
-            picked = _subset_label(selection.selected, data.feature_names)
-            print(
-                f"{dataset_id} seed={seed} selected={picked} "
-                f"confusion={confusion.as_tuple} {'ok' if matched else 'MISS'}"
-            )
-        print(f"{dataset_id}: {matches}/{len(seeds)} seeds matched {expected}")
-        if matches < len(seeds):
-            all_ok = False
+    with _task_map(len(tasks)) as task_map:
+        outcomes = task_map(partial(_bench_seed, resolved), tasks)
+        for dataset_id in ids:
+            matches = 0
+            for _ in range(seeds):
+                line, matched, expected = next(outcomes)
+                print(line)
+                matches += matched
+            print(f"{dataset_id}: {matches}/{seeds} seeds matched {expected}")
+            all_ok = all_ok and matches == seeds
     return 0 if all_ok else 1
 
 

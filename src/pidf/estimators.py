@@ -224,30 +224,30 @@ def _code_counts(code: np.ndarray, span: int) -> np.ndarray:
     return np.unique(code, return_counts=True)[1]
 
 
-def _fold_rows(columns: Sequence[np.ndarray], n: int) -> tuple[np.ndarray, int]:
-    """Fold each of the n rows of non-negative integer columns into one
+def _fold_rows(columns: Sequence[tuple[np.ndarray, int]], n: int) -> tuple[np.ndarray, int]:
+    """Fold each of the n rows of (digits, radix) columns into one
     mixed-radix code, first column most significant.
 
+    Each column's digits are non-negative signed integers below its radix.
     Returns the codes and a bound on them. Distinct rows get distinct
     codes, ordered as np.unique(axis=0) orders the stacked rows. Each
     column folds in the narrowest signed type that holds the new bound,
     and the partial code is re-ranked before it would overflow int64.
-    The given columns are never written into; a lone integer column is
-    returned as its own codes.
+    The given digits are never written into; a lone column is returned as
+    its own codes.
     """
     code, span = None, 1
-    for column in columns:
-        # Signed integer digits of any width add into the code as they are.
-        digits = column if column.dtype.kind == "i" else column.astype(np.int64)
-        radix = int(digits.max()) + 1
-        if span == 1:
-            # A code with one value is all zeros, so the digits are the fold.
-            code, span = digits, radix
-            continue
-        if span * radix >= _CODE_LIMIT:
+    for digits, radix in columns:
+        if span > 1 and span * radix >= _CODE_LIMIT:
             code, span = _dense(code, span)
             if span * radix >= _CODE_LIMIT:
                 digits, radix = _dense(digits, radix)
+        if span == 1:
+            # A code with one value is all zeros, so the digits are the fold.
+            # Re-ranking can leave one value too; folding then would need a
+            # type that holds radix itself, not just -radix.
+            code, span = digits, radix
+            continue
         span *= radix
         code = code.astype(np.min_scalar_type(-span))
         code *= radix
@@ -325,7 +325,8 @@ class _PluginTable:
     def __init__(self, data: Dataset, kind: ExactDiscrete | Binned):
         self.data = data
         self.kind = kind
-        self._digits: dict[int, np.ndarray] = {}
+        # Column id -> its digits and their radix, one more than the largest.
+        self._digits: dict[int, tuple[np.ndarray, int]] = {}
         self._entropies: dict[tuple[int, ...], float] = {}
         # Column id -> its indicator rows in _counts; None until built.
         self._rows: dict[int, slice] | None = None
@@ -340,8 +341,8 @@ class _PluginTable:
             # are: I(Y; S) folds S and then one more column, not S twice.
             side = max(fresh, key=len)
             other = right if side is left else left
-            code = self._code(side, [self._column(i) for i in side])
-            self._code(joint, [code, *(self._column(i) for i in other)])
+            coded = self._code(side, [self._column(i) for i in side])
+            self._code(joint, [coded, *(self._column(i) for i in other)])
         return max(0.0, self.entropy(left) + self.entropy(right) - self.entropy(joint))
 
     def entropy(self, ids: tuple[int, ...]) -> float:
@@ -373,21 +374,23 @@ class _PluginTable:
         data, binned = self.data, isinstance(self.kind, Binned)
         ids = [i for i in range(_TARGET_ID, data.n_features)
                if binned or _kinds(data, (i,))[0].is_discrete]
-        radices = {i: int(self._column(i).max()) + 1 for i in ids}
+        radices = {i: self._column(i)[1] for i in ids}
         radices = {i: r for i, r in radices.items() if r <= _TABLE_RADIX}
         self._rows = {}
         if 0 < sum(radices.values()) <= _TABLE_WIDTH:
             tops = np.cumsum([0, *radices.values()]).tolist()
             self._rows = {i: slice(a, b) for i, a, b in zip(radices, tops, tops[1:])}
-            self._counts = _pair_counts([self._column(i) for i in radices],
+            self._counts = _pair_counts([self._column(i)[0] for i in radices],
                                         list(radices.values()), data.n_samples)
 
-    def _code(self, ids: tuple[int, ...], columns: list[np.ndarray]) -> np.ndarray:
-        """Fold columns that tell rows apart as group ids does into row
-        codes; remember the group's entropy and return the codes."""
+    def _code(self, ids: tuple[int, ...],
+              columns: list[tuple[np.ndarray, int]]) -> tuple[np.ndarray, int]:
+        """Fold (digits, radix) columns that tell rows apart as group ids
+        does into row codes; remember the group's entropy and return the
+        codes and their bound, a column to fold a joint from."""
         code, span = _fold_rows(columns, self.data.n_samples)
         self._remember(ids, _code_counts(code, span))
-        return code
+        return code, span
 
     def _remember(self, ids: tuple[int, ...], counts: np.ndarray) -> None:
         """Store H of group ids from its row counts, zeros allowed."""
@@ -396,16 +399,18 @@ class _PluginTable:
         counts = np.sort(counts[counts > 0])
         self._entropies[ids] = max(0.0, math.log(n) - float(counts @ np.log(counts)) / n)
 
-    def _column(self, col_id: int) -> np.ndarray:
-        digits = self._digits.get(col_id)
-        if digits is None:
+    def _column(self, col_id: int) -> tuple[np.ndarray, int]:
+        """The column's digits and their radix."""
+        column = self._digits.get(col_id)
+        if column is None:
             col = _columns(self.data, (col_id,))[0]
             if isinstance(self.kind, Binned):
                 col = _bin_column(col, _kinds(self.data, (col_id,))[0], self.kind.bins)
+            radix = int(col.max()) + 1
             # The narrowest signed type that holds every digit.
-            digits = col.astype(np.min_scalar_type(-int(col.max()) - 1))
-            self._digits[col_id] = digits
-        return digits
+            column = col.astype(np.min_scalar_type(-radix)), radix
+            self._digits[col_id] = column
+        return column
 
 
 def subsample_rows(n: int, fraction: float, rep_seed: int) -> np.ndarray:
@@ -485,8 +490,8 @@ def _prepared(data: Dataset, kind: EstimatorKind) -> _KsgSample | _PluginTable |
     return _store
 
 
-# Wider marginals probe this many nearest neighbours before any ball query;
-# a KSG ball around a point holds about k of them.
+# Marginals of 3 or more columns probe this many nearest neighbours before
+# any ball query; a KSG ball around a point holds about k of them.
 _PROBE_WIDTH = 16
 
 
@@ -495,14 +500,18 @@ def _ball_counts(points: np.ndarray, radius: np.ndarray) -> np.ndarray:
 
     Returns exactly what cKDTree(points).query_ball_point(points, radius,
     p=np.inf, return_length=True) returns. One column is counted on sorted
-    values. Wider points take their _PROBE_WIDTH nearest neighbours, which
-    hold every point of a ball that does not hold all of them; only rows
-    whose probe lies wholly inside the ball are counted by a ball query.
+    values, and two by that ball query. Wider points take their
+    _PROBE_WIDTH nearest neighbours, which hold every point of a ball that
+    does not hold all of them; only rows whose probe lies wholly inside the
+    ball are counted by a ball query.
     """
     m, width = points.shape
     if width == 1:
         return _window_counts(points[:, 0], radius)
     tree = _tree(points)
+    # Two columns fill the probe on most rows, which then pay for both.
+    if width == 2:
+        return tree.query_ball_point(points, radius, p=np.inf, return_length=True)
     k = min(_PROBE_WIDTH, m)
     dist, _ = tree.query(points, k=k, p=np.inf)
     counts = np.count_nonzero(dist.reshape(m, k) <= radius[:, None], axis=1)
@@ -616,19 +625,23 @@ def _estimate_once(
     raise ConfigError(f"unknown estimator kind {kind!r}")
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 @cache
 def _pool():
     """The pool that runs the repetitions of ksg and mine estimates, one
-    thread per CPU the process may use. cKDTree and numpy's array kernels
-    release the GIL. Made on first use: importing concurrent.futures adds
-    about 8 ms to importing this module."""
+    thread per usable CPU. cKDTree and numpy's array kernels release the
+    GIL. Made on first use: importing concurrent.futures adds about 8 ms to
+    importing this module."""
     from concurrent.futures import ThreadPoolExecutor
 
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return ThreadPoolExecutor(cpus, thread_name_prefix="pidf-rep")
+    return ThreadPoolExecutor(usable_cpus(), thread_name_prefix="pidf-rep")
 
 
 if hasattr(os, "register_at_fork"):

@@ -103,21 +103,17 @@ class MiCache:
         self.cfg = cfg
         self._cache: dict[tuple[tuple[int, ...], tuple[int, ...]], EstimateEnsemble] = {}
 
-    @staticmethod
-    def _as_group(ids: tuple[int, ...]):
-        return TARGET if ids == (-1,) else FeatureSubset(ids)
-
     def mi(self, left, right) -> EstimateEnsemble:
+        """I(left; right). A miss passes the groups to estimate_mi as given,
+        so a group of ids must be a collection, not a one-pass iterator."""
         left_ids = _resolve_group(self.data, left)
         right_ids = _resolve_group(self.data, right)
-        key = (
-            (left_ids, right_ids) if left_ids <= right_ids else (right_ids, left_ids)
-        )
+        if right_ids < left_ids:
+            left, right, left_ids, right_ids = right, left, right_ids, left_ids
+        key = (left_ids, right_ids)
         hit = self._cache.get(key)
         if hit is None:
-            hit = estimators.estimate_mi(
-                self.data, self._as_group(key[0]), self._as_group(key[1]), self.cfg
-            )
+            hit = estimators.estimate_mi(self.data, left, right, self.cfg)
             self._cache[key] = hit
         return hit
 

@@ -2,6 +2,10 @@
 documented exit codes."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -160,6 +164,30 @@ class TestConfigFile:
         assert code == 2
 
 
+def bench_in_child(argv, one_cpu):
+    """Exit code, stdout and number of forks of cli.main(argv) in a fresh
+    interpreter, held to one CPU if one_cpu."""
+    script = (
+        "import os, sys\n"
+        f"if {one_cpu!r}:\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "forks, real_fork = [], os.fork\n"
+        "def fork():\n"
+        "    forks.append(1)\n"
+        "    return real_fork()\n"
+        "os.fork = fork\n"
+        "from pidf import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "sys.stdout.flush()\n"
+        "print(code, len(forks), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, forks = proc.stderr.split()[-2:]
+    return int(code), proc.stdout, int(forks)
+
+
 class TestBench:
     def test_small_run_passes(self, capsys):
         code, out, _ = run_cli(
@@ -170,6 +198,41 @@ class TestBench:
         assert "svq: 2/2 seeds matched" in out
         # one line per seed plus the summary
         assert out.count("rvq seed=") == 2
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs sched_setaffinity")
+    def test_pool_prints_the_one_cpu_lines(self):
+        # Forks are counted in a fresh interpreter; on one CPU there are none.
+        argv = ["bench", "--datasets", "rvq,wt,ubr", "--seeds", "3", "--n", "300"]
+        pool = bench_in_child(argv, one_cpu=False)
+        alone = bench_in_child(argv, one_cpu=True)
+        assert alone == (0, pool[1], 0)
+        # One worker per usable CPU, at most one per analysis.
+        workers = min(cli.usable_cpus(), 9)
+        assert pool[::2] == (0, workers if workers > 1 else 0)
+        assert pool[1].count(" ok\n") == 9
+
+    def test_estimator_error_in_a_run(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bench", "--datasets", "wt", "--n", "8", "--estimator", "ksg"
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("estimator error: ") and "more than k" in err
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or cli.usable_cpus() < 2,
+                        reason="needs fork and 2 usable CPUs")
+    def test_dead_worker_is_an_error_message(self, capsys, monkeypatch):
+        # The forked workers inherit the patch; this process never runs it.
+        def killed(*args, **kwargs):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(cli, "run_pidf", killed)
+        code, out, err = run_cli(capsys, "bench", "--datasets", "rvq", "--seeds", "2")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("estimator error: a bench worker process died")
+        assert "Traceback" not in err
 
     def test_unknown_dataset(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--datasets", "rvq,unknown")
@@ -251,9 +314,6 @@ class TestExitCodes:
 
 class TestModuleEntry:
     def test_python_dash_m(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "pidf", "gen", "--dataset", "rvq", "--n", "3"],
             capture_output=True,
@@ -265,9 +325,6 @@ class TestModuleEntry:
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats costs about half a second to import and pidf needs
         # nothing from it.
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, pidf; print('scipy.stats' in sys.modules)"],
@@ -281,9 +338,6 @@ class TestModuleEntry:
 def state_after(statement):
     """The scipy modules loaded and the number of live threads in a fresh
     interpreter after running statement, with stdout discarded."""
-    import subprocess
-    import sys
-
     script = (
         "import contextlib, io, json, sys, threading\n"
         "from pidf import cli\n"

@@ -48,6 +48,7 @@ from pidf.estimators import (
     _fold_rows,
     ksg_mi,
     subsample_rows,
+    usable_cpus,
 )
 
 LN2 = math.log(2.0)
@@ -138,7 +139,8 @@ def unique_row_codes(matrix):
 
 
 def row_codes(matrix):
-    return _dense(*_fold_rows(list(matrix.T), matrix.shape[0]))[0]
+    columns = [(c.astype(np.int64), int(c.max()) + 1) for c in matrix.T]
+    return _dense(*_fold_rows(columns, matrix.shape[0]))[0]
 
 
 class TestDiscreteCodes:
@@ -155,6 +157,11 @@ class TestDiscreteCodes:
         rows = rng.integers(0, 32, size=(200, 16))
         matrix = rows[rng.integers(0, 200, size=500)].astype(np.float64)
         np.testing.assert_array_equal(row_codes(matrix), unique_row_codes(matrix))
+
+    def test_one_code_after_rerank(self):
+        # The re-rank midway leaves one code, and the next radix is 128.
+        matrix = np.array([[29.0, 29.0, 40.0, 62.0, 63.0, 92.0, 114.0, 133.0, 168.0, 127.0]])
+        np.testing.assert_array_equal(row_codes(matrix), [0])
 
     def test_values_past_int64_span(self):
         matrix = np.array([[2.0**52, 3.0], [1.0, 2.0**52], [2.0**52, 3.0]])
@@ -747,20 +754,28 @@ class TestBallCounts:
         assert tree_calls == [("query", 2)]
 
     def test_wide_marginal_probe_uses_the_stand_in(self, tree_calls):
-        x = np.random.default_rng(1).normal(size=(400, 2))
+        x = np.random.default_rng(1).normal(size=(400, 3))
         y = x.sum(axis=1, keepdims=True) + np.random.default_rng(2).normal(size=(400, 1))
         ksg_mi(x, y, k=3)
         queries = [call for call in tree_calls if call[0] == "query"]
-        assert queries == [("query", 3), ("query", 2)]
+        assert queries == [("query", 4), ("query", 3)]
+
+    def test_two_columns_with_full_probes(self, tree_calls):
+        # A KSG radius of a 3-D joint holds more than the probe's
+        # _PROBE_WIDTH nearest neighbours in a 2-column marginal on most
+        # rows; the marginal is counted by one ball query, with no probe.
+        rng = np.random.default_rng(3)
+        joint = rng.normal(size=(1500, 3))
+        radius = np.nextafter(cKDTree(joint).query(joint, k=4, p=np.inf)[0][:, -1], 0.0)
+        points = joint[:, :2]
+        probe = cKDTree(points).query(points, k=_PROBE_WIDTH, p=np.inf)[0]
+        assert np.mean((probe <= radius[:, None]).all(axis=1)) > 0.5
+        np.testing.assert_array_equal(_ball_counts(points, radius),
+                                      tree_ball_counts(points, radius))
+        assert tree_calls == [("query_ball_point", 2)]
 
     def test_tree_attribute_is_scipy_when_unpatched(self):
         assert getattr(estimators, "cKDTree") is cKDTree
-
-
-def usable_cpus():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def gaussian_table(n, seed):
