@@ -45,14 +45,15 @@ from .types import (
     OracleUnsupportedError,
     SubsetCapError,
     TARGET,
-    require_probability,
 )
 
-ESTIMATOR_NAMES = ("auto", "exact", "binned", "ksg", "mine")
-
-DEFAULT_REPETITIONS = 5
-DEFAULT_BENCH_SEEDS = 10
-DEFAULT_N_SAMPLES = 1000
+_KINDS = {
+    "exact": ExactDiscrete,
+    "binned": Binned,
+    "ksg": Ksg,
+    "mine": lambda: Mine(MineConfig()),
+}
+ESTIMATOR_NAMES = ("auto", *_KINDS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,56 +63,54 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
 
-
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"expected a non-negative integer, got {text!r}")
-    return value
+    return integer
 
 
 def _choice(options: tuple[str, ...]):
     def convert(text: str) -> str:
         if text not in options:
-            raise ValueError(f"expected one of {', '.join(options)}, got {text!r}")
+            raise argparse.ArgumentTypeError(
+                f"expected one of {', '.join(options)}, got {text!r}"
+            )
         return text
 
     return convert
 
 
-_CONFIG_CONVERTERS = {
-    "dataset": _choice(datasets.DATASET_IDS),
-    "input": str,
-    "target": str,
-    "estimator": _choice(ESTIMATOR_NAMES),
-    "reps": _positive_int,
-    "alpha": float,
-    "eps_zero": float,
-    "units": _choice((NATS, BITS)),
-    "seed": int,
-    "n": _positive_int,
-    "terc_rule": _choice(datasets.TERC_RULES),
-    "seeds": _positive_int,
-    "datasets": str,
-    "out": str,
-    "svg": str,
-    "dup": _nonneg_int,
-}
+def _dataset_ids(text: str) -> tuple[str, ...]:
+    """A comma-separated list of one or more known dataset ids."""
+    ids = tuple(part.strip() for part in text.split(",") if part.strip())
+    if not ids:
+        raise argparse.ArgumentTypeError(
+            f"expected at least one dataset id, got {text!r}"
+        )
+    for dataset_id in ids:
+        if dataset_id not in datasets.DATASET_IDS:
+            raise argparse.ArgumentTypeError(f"unknown dataset id {dataset_id!r}")
+    return ids
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    """Parse a key=value settings file; '#' starts a comment line."""
-    entries: dict[str, str] = {}
+def _use_config_file(command: argparse.ArgumentParser, path: str) -> None:
+    """Make the key=value entries of a settings file ('#' starts a comment
+    line) the subcommand's defaults, each converted by the converter of its
+    flag, so that explicit flags still win."""
+    flags = {
+        action.dest: action
+        for action in command._actions
+        if action.dest not in ("help", "config")
+    }
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
+    entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -120,68 +119,42 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         entries[key.strip().replace("-", "_")] = value.strip()
-    return entries
-
-
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Resolve option values: explicit flag > config file entry > default."""
-    file_entries: dict[str, str] = {}
-    if getattr(args, "config", None):
-        file_entries = _read_config_file(args.config)
-        unknown = set(file_entries) - set(defaults)
-        if unknown:
-            raise ConfigError(
-                f"config file keys not valid for this command: {sorted(unknown)}"
-            )
-    resolved = {}
-    for key, default in defaults.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
-        elif key in file_entries:
-            try:
-                resolved[key] = _CONFIG_CONVERTERS[key](file_entries[key])
-            except ValueError as err:
-                raise ConfigError(f"config file key {key}: {err}") from err
-        else:
-            resolved[key] = default
-    return resolved
+    unknown = set(entries) - set(flags)
+    if unknown:
+        raise ConfigError(
+            f"config file keys not valid for this command: {sorted(unknown)}"
+        )
+    defaults = {}
+    for key, value in entries.items():
+        try:
+            defaults[key] = (flags[key].type or str)(value)
+        except (ValueError, argparse.ArgumentTypeError) as err:
+            raise ConfigError(f"config file key {key}: {err}") from err
+    command.set_defaults(**defaults)
 
 
 def _estimator_config(
-    name: str, data: Dataset, repetitions: int, base_seed: int
+    args: argparse.Namespace, data: Dataset, seed: int
 ) -> EstimatorConfig:
-    if name == "auto":
-        return default_config(data, repetitions, base_seed)
-    kinds = {
-        "exact": ExactDiscrete,
-        "binned": Binned,
-        "ksg": Ksg,
-        "mine": lambda: Mine(MineConfig()),
-    }
-    if name not in kinds:
-        raise ConfigError(
-            f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}"
-        )
-    return EstimatorConfig(
-        kind=kinds[name](), repetitions=repetitions, base_seed=base_seed
-    )
+    if args.estimator == "auto":
+        return default_config(data, args.reps, seed)
+    kind = _KINDS[args.estimator]()
+    return EstimatorConfig(kind=kind, repetitions=args.reps, base_seed=seed)
 
 
-def _load_dataset(resolved: dict) -> Dataset:
-    has_input = resolved.get("input") is not None
-    has_generated = resolved.get("dataset") is not None
-    if has_input == has_generated:
-        raise ConfigError("provide exactly one of --input CSV or --dataset id")
-    if has_input:
-        return report_mod.read_csv(resolved["input"], target=resolved["target"])
+def _generate(args: argparse.Namespace, dataset_id: str, seed: int) -> Dataset:
     spec = datasets.GeneratorSpec(
-        dataset=resolved["dataset"],
-        n_samples=resolved["n"],
-        seed=resolved["seed"],
-        terc_rule=resolved["terc_rule"],
+        dataset=dataset_id, n_samples=args.n, seed=seed, terc_rule=args.terc_rule
     )
     return datasets.generate(spec)
+
+
+def _load_dataset(args: argparse.Namespace) -> Dataset:
+    if (args.input is None) == (args.dataset is None):
+        raise ConfigError("provide exactly one of --input CSV or --dataset id")
+    if args.input is not None:
+        return report_mod.read_csv(args.input, target=args.target)
+    return _generate(args, args.dataset, args.seed)
 
 
 def _subset_label(subset: FeatureSubset, names: tuple[str, ...]) -> str:
@@ -189,94 +162,50 @@ def _subset_label(subset: FeatureSubset, names: tuple[str, ...]) -> str:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    resolved = _merge_config(
-        args,
-        {
-            "dataset": None,
-            "n": DEFAULT_N_SAMPLES,
-            "seed": 0,
-            "terc_rule": "all_equal",
-            "out": None,
-        },
-    )
-    if resolved["dataset"] is None:
+    if args.dataset is None:
         raise ConfigError("gen requires --dataset")
-    spec = datasets.GeneratorSpec(
-        dataset=resolved["dataset"],
-        n_samples=resolved["n"],
-        seed=resolved["seed"],
-        terc_rule=resolved["terc_rule"],
-    )
-    data = datasets.generate(spec)
-    if resolved["out"] is None:
+    data = _generate(args, args.dataset, args.seed)
+    if args.out is None:
         report_mod.write_csv(data, sys.stdout)
     else:
-        report_mod.write_csv(data, resolved["out"])
+        report_mod.write_csv(data, args.out)
         print(
             f"wrote {data.n_samples} rows x {data.n_features} features "
-            f"to {resolved['out']}",
+            f"to {args.out}",
             file=sys.stderr,
         )
     return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    resolved = _merge_config(
-        args,
-        {
-            "input": None,
-            "dataset": None,
-            "n": DEFAULT_N_SAMPLES,
-            "seed": 0,
-            "terc_rule": "all_equal",
-            "target": "target",
-            "estimator": "auto",
-            "reps": DEFAULT_REPETITIONS,
-            "alpha": DEFAULT_ALPHA,
-            "eps_zero": DEFAULT_EPS_ZERO,
-            "units": NATS,
-            "out": None,
-            "svg": None,
-            "dup": None,
-        },
-    )
-    require_probability(resolved["alpha"], "alpha")
-    data = _load_dataset(resolved)
-    if resolved["dup"] is not None:
-        data = datasets.duplicate_feature(data, resolved["dup"])
-    cfg = _estimator_config(
-        resolved["estimator"], data, resolved["reps"], resolved["seed"]
-    )
-    result = run_pidf(
-        data, cfg, alpha=resolved["alpha"], eps_zero=resolved["eps_zero"]
-    )
+    data = _load_dataset(args)
+    if args.dup is not None:
+        data = datasets.duplicate_feature(data, args.dup)
+    cfg = _estimator_config(args, data, args.seed)
+    result = run_pidf(data, cfg, alpha=args.alpha, eps_zero=args.eps_zero)
     selection = select_features(result)
     fingerprint = report_mod.dataset_fingerprint(data)
-    text = report_mod.render_json(result, selection, resolved["units"], fingerprint)
-    if resolved["out"] is None:
+    text = report_mod.render_json(result, selection, args.units, fingerprint)
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(resolved["out"]).write_text(text, encoding="utf-8")
-    if resolved["svg"] is not None:
-        svg = report_mod.render_svg(result, selection, resolved["units"])
-        Path(resolved["svg"]).write_text(svg, encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
+    if args.svg is not None:
+        svg = report_mod.render_svg(result, selection, args.units)
+        Path(args.svg).write_text(svg, encoding="utf-8")
     return 0
 
 
-def _bench_seed(resolved: dict, task: tuple[str, int]) -> tuple[str, bool, tuple]:
+def _bench_seed(
+    args: argparse.Namespace, task: tuple[str, int]
+) -> tuple[str, bool, tuple]:
     """Analyze one (dataset, seed) of bench: its line, whether the selection
     matched the ground truth, and the confusion counts a match has."""
     dataset_id, seed = task
     truth = datasets.GROUND_TRUTH[dataset_id]
-    spec = datasets.GeneratorSpec(
-        dataset=dataset_id,
-        n_samples=resolved["n"],
-        seed=seed,
-        terc_rule=resolved["terc_rule"],
-    )
-    data = datasets.generate(spec)
-    cfg = _estimator_config(resolved["estimator"], data, resolved["reps"], seed)
-    result = run_pidf(data, cfg, alpha=resolved["alpha"], eps_zero=resolved["eps_zero"])
+    data = _generate(args, dataset_id, seed)
+    cfg = _estimator_config(args, data, seed)
+    result = run_pidf(data, cfg, alpha=args.alpha, eps_zero=args.eps_zero)
     selection = select_features(result)
     confusion = confusion_counts(selection, truth)
     expected = (len(truth), 0, data.n_features - len(truth), 0)
@@ -318,43 +247,23 @@ def _task_map(calls: int):
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    resolved = _merge_config(
-        args,
-        {
-            "datasets": ",".join(datasets.BENCHMARK_IDS),
-            "seeds": DEFAULT_BENCH_SEEDS,
-            "n": DEFAULT_N_SAMPLES,
-            "terc_rule": "all_equal",
-            "estimator": "auto",
-            "reps": DEFAULT_REPETITIONS,
-            "alpha": DEFAULT_ALPHA,
-            "eps_zero": DEFAULT_EPS_ZERO,
-        },
-    )
-    require_probability(resolved["alpha"], "alpha")
-    ids = tuple(part.strip() for part in resolved["datasets"].split(",") if part.strip())
-    for dataset_id in ids:
-        if dataset_id not in datasets.DATASET_IDS:
-            raise ConfigError(f"unknown dataset id {dataset_id!r}")
+    for dataset_id in args.datasets:
         if dataset_id not in datasets.GROUND_TRUTH:
             raise ConfigError(f"dataset {dataset_id!r} has no ground truth")
-    seeds = resolved["seeds"]
-    tasks = [(dataset_id, seed) for dataset_id in ids for seed in range(seeds)]
+    tasks = [(dataset_id, seed) for dataset_id in args.datasets
+             for seed in range(args.seeds)]
     all_ok = True
     with _task_map(len(tasks)) as task_map:
-        outcomes = task_map(partial(_bench_seed, resolved), tasks)
-        for dataset_id in ids:
+        outcomes = task_map(partial(_bench_seed, args), tasks)
+        for dataset_id in args.datasets:
             matches = 0
-            for _ in range(seeds):
+            for _ in range(args.seeds):
                 line, matched, expected = next(outcomes)
                 print(line)
                 matches += matched
-            print(f"{dataset_id}: {matches}/{seeds} seeds matched {expected}")
-            all_ok = all_ok and matches == seeds
+            print(f"{dataset_id}: {matches}/{args.seeds} seeds matched {expected}")
+            all_ok = all_ok and matches == args.seeds
     return 0 if all_ok else 1
-
-
-_VERIFY_IDS = ("rvq", "svq", "msq", "terc1", "terc2", "sg", "pairsum")
 
 
 def _verify_mi_agreement(data: Dataset, cfg: EstimatorConfig) -> float:
@@ -373,11 +282,6 @@ def _verify_mi_agreement(data: Dataset, cfg: EstimatorConfig) -> float:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    resolved = _merge_config(
-        args,
-        {"datasets": ",".join(_VERIFY_IDS), "terc_rule": "all_equal"},
-    )
-    ids = tuple(part.strip() for part in resolved["datasets"].split(",") if part.strip())
     tol = 1e-9
     failures = 0
 
@@ -386,8 +290,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"{label}: {'ok' if ok else 'FAIL'}")
         failures += not ok
 
-    for dataset_id in ids:
-        data = datasets.population_table(dataset_id, resolved["terc_rule"])
+    for dataset_id in args.datasets:
+        data = datasets.population_table(dataset_id, args.terc_rule)
         cfg = EstimatorConfig(kind=ExactDiscrete(), repetitions=1, base_seed=0)
         worst = _verify_mi_agreement(data, cfg)
         check(f"{dataset_id}: MI estimator vs oracle, max delta {worst:.2e}", worst <= tol)
@@ -428,26 +332,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common_estimation_flags(parser: argparse.ArgumentParser) -> None:
+def _add_shared_flags(parser: argparse.ArgumentParser, rows: bool = True) -> None:
+    if rows:
+        parser.add_argument("--n", type=_int_at_least(1), default=1000,
+                            help="rows to draw when generating (default %(default)s)")
+    parser.add_argument("--terc-rule", dest="terc_rule",
+                        type=_choice(datasets.TERC_RULES), default="all_equal",
+                        help="target rule of the terc datasets (default %(default)s)")
+    parser.add_argument("--config", help="key=value settings file")
+
+
+def _add_estimation_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--estimator",
         type=_choice(ESTIMATOR_NAMES),
-        default=None,
-        help="MI estimator (default auto: exact for discrete data, ksg otherwise)",
+        default="auto",
+        help="MI estimator (default %(default)s: exact for discrete data, ksg otherwise)",
     )
     parser.add_argument(
-        "--reps", type=_positive_int, default=None,
-        help=f"estimator repetitions per quantity (default {DEFAULT_REPETITIONS})",
+        "--reps", type=_int_at_least(1), default=5,
+        help="estimator repetitions per quantity (default %(default)s)",
     )
     parser.add_argument(
-        "--alpha", type=float, default=None,
-        help=f"significance level for redundancy decisions (default {DEFAULT_ALPHA})",
+        "--alpha", type=float, default=DEFAULT_ALPHA,
+        help="significance level for redundancy decisions (default %(default)s)",
     )
     parser.add_argument(
-        "--eps-zero", dest="eps_zero", type=float, default=None,
+        "--eps-zero", dest="eps_zero", type=float, default=DEFAULT_EPS_ZERO,
         help=(
             "smallest deterministic estimate treated as nonzero, in nats "
-            f"(default {DEFAULT_EPS_ZERO})"
+            "(default %(default)s)"
         ),
     )
 
@@ -458,60 +372,50 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset as CSV")
-    gen.add_argument("--dataset", type=_choice(datasets.DATASET_IDS), default=None)
-    gen.add_argument("--n", type=_positive_int, default=None, help="rows to draw")
-    gen.add_argument("--seed", type=int, default=None, help="generation seed")
-    gen.add_argument("--terc-rule", dest="terc_rule",
-                     type=_choice(datasets.TERC_RULES), default=None)
-    gen.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    gen.add_argument("--config", default=None, help="key=value settings file")
+    gen.add_argument("--dataset", type=_choice(datasets.DATASET_IDS))
+    gen.add_argument("--seed", type=int, default=0, help="generation seed")
+    gen.add_argument("--out", help="output CSV path (default stdout)")
+    _add_shared_flags(gen)
     gen.set_defaults(func=cmd_gen)
 
     analyze = sub.add_parser(
         "analyze", help="decompose per-feature information and select features"
     )
-    analyze.add_argument("--input", default=None, help="input CSV path")
-    analyze.add_argument("--dataset", type=_choice(datasets.DATASET_IDS), default=None,
+    analyze.add_argument("--input", help="input CSV path")
+    analyze.add_argument("--dataset", type=_choice(datasets.DATASET_IDS),
                          help="generate this dataset instead of reading --input")
-    analyze.add_argument("--n", type=_positive_int, default=None,
-                         help="rows to draw when generating")
-    analyze.add_argument("--seed", type=int, default=None,
+    analyze.add_argument("--seed", type=int, default=0,
                          help="seed for generation and estimator repetitions")
-    analyze.add_argument("--terc-rule", dest="terc_rule",
-                         type=_choice(datasets.TERC_RULES), default=None)
-    analyze.add_argument("--target", default=None,
-                         help="target column name in the CSV (default 'target')")
-    _add_common_estimation_flags(analyze)
-    analyze.add_argument("--units", type=_choice((NATS, BITS)), default=None)
-    analyze.add_argument("--out", default=None, help="report JSON path (default stdout)")
-    analyze.add_argument("--svg", default=None, help="also write an SVG chart here")
-    analyze.add_argument("--dup", type=_nonneg_int, default=None,
+    analyze.add_argument("--target", default="target",
+                         help="target column name in the CSV (default %(default)s)")
+    _add_estimation_flags(analyze)
+    analyze.add_argument("--units", type=_choice((NATS, BITS)), default=NATS)
+    analyze.add_argument("--out", help="report JSON path (default stdout)")
+    analyze.add_argument("--svg", help="also write an SVG chart here")
+    analyze.add_argument("--dup", type=_int_at_least(0),
                          help="duplicate this feature index before analysis")
-    analyze.add_argument("--config", default=None, help="key=value settings file")
+    _add_shared_flags(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
     bench = sub.add_parser(
         "bench", help="run benchmark datasets across seeds, report confusions"
     )
-    bench.add_argument("--datasets", default=None,
-                       help="comma-separated dataset ids (default: all benchmarks)")
-    bench.add_argument("--seeds", type=_positive_int, default=None,
-                       help=f"number of seeds to run (default {DEFAULT_BENCH_SEEDS})")
-    bench.add_argument("--n", type=_positive_int, default=None)
-    bench.add_argument("--terc-rule", dest="terc_rule",
-                       type=_choice(datasets.TERC_RULES), default=None)
-    _add_common_estimation_flags(bench)
-    bench.add_argument("--config", default=None, help="key=value settings file")
+    bench.add_argument("--datasets", type=_dataset_ids,
+                       default=",".join(datasets.BENCHMARK_IDS),
+                       help="comma-separated dataset ids (default %(default)s)")
+    bench.add_argument("--seeds", type=_int_at_least(1), default=10,
+                       help="number of seeds to run (default %(default)s)")
+    _add_estimation_flags(bench)
+    _add_shared_flags(bench)
     bench.set_defaults(func=cmd_bench)
 
     verify = sub.add_parser(
         "verify", help="cross-check estimators and the pass against the exact oracle"
     )
-    verify.add_argument("--datasets", default=None,
-                        help="comma-separated discrete dataset ids")
-    verify.add_argument("--terc-rule", dest="terc_rule",
-                        type=_choice(datasets.TERC_RULES), default=None)
-    verify.add_argument("--config", default=None, help="key=value settings file")
+    verify.add_argument("--datasets", type=_dataset_ids,
+                        default="rvq,svq,msq,terc1,terc2,sg,pairsum",
+                        help="comma-separated discrete dataset ids (default %(default)s)")
+    _add_shared_flags(verify, rows=False)
     verify.set_defaults(func=cmd_verify)
     return parser
 
@@ -533,6 +437,10 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
+        if args.config is not None:
+            commands = next(a for a in parser._actions if a.dest == "command").choices
+            _use_config_file(commands[args.command], args.config)
+            args = parser.parse_args(argv)
         _log.debug("dispatch %s", args.command)
         return args.func(args)
     except ConfigError as err:

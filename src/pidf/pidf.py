@@ -32,6 +32,7 @@ from .types import (
     PidfFeatureResult,
     PidfReport,
     SubsetCapError,
+    require_nonnegative,
     require_probability,
 )
 from . import estimators
@@ -67,6 +68,7 @@ def significantly_positive(
     is the t survival function, P(T > stat) = stdtr(n - 1, -stat).
     """
     require_probability(alpha, "alpha")
+    require_nonnegative(eps_zero, "eps_zero")
     if ensemble.is_deterministic:
         return ensemble.mean > eps_zero
     from scipy.special import stdtr
@@ -199,6 +201,7 @@ def run_pidf(
     if cfg is None:
         cfg = default_config(data)
     require_probability(alpha, "alpha")
+    require_nonnegative(eps_zero, "eps_zero")
     if data.n_features < 1:
         raise ConfigError("need at least one feature")
     cache = MiCache(data, cfg)

@@ -491,3 +491,10 @@ def require_probability(value: Any, name: str) -> float:
     if not 0.0 < value < 1.0:
         raise ConfigError(f"{name} must lie strictly between 0 and 1, got {value}")
     return value
+
+
+def require_nonnegative(value: Any, name: str) -> float:
+    value = require_number(value, name)
+    if not 0.0 <= value < math.inf:
+        raise ConfigError(f"{name} must be a finite number >= 0, got {value}")
+    return value

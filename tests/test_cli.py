@@ -1,6 +1,7 @@
 """Command-line interface: subcommand behavior, option precedence, and the
 documented exit codes."""
 
+import hashlib
 import json
 import os
 import signal
@@ -163,6 +164,23 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "analyze", "--config", "/nonexistent.conf")
         assert code == 2
 
+    @pytest.mark.parametrize("command,entries,key", [
+        ("analyze", "dataset=rvq\nn=0\n", "n"),
+        ("analyze", "dataset=rvq\nalpha=2\n", "alpha"),
+        ("analyze", "dataset=rvq\neps-zero=nan\n", "eps_zero"),
+        ("analyze", "dataset=rvq\nconfig=x\n", "config"),
+        ("gen", "dataset=rvq\nhelp=1\n", "help"),
+        ("bench", "datasets=rvq,zzz\n", "zzz"),
+        ("bench", "datasets=\n", "datasets"),
+        ("verify", "datasets=,\n", "datasets"),
+    ])
+    def test_entries_checked_as_flags(self, capsys, tmp_path, command, entries, key):
+        conf = tmp_path / "run.conf"
+        conf.write_text(entries)
+        code, out, err = run_cli(capsys, command, "--config", str(conf))
+        assert (code, out) == (2, "")
+        assert key in err
+
 
 def bench_in_child(argv, one_cpu):
     """Exit code, stdout and number of forks of cli.main(argv) in a fresh
@@ -238,6 +256,12 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", "--datasets", "rvq,unknown")
         assert code == 2
 
+    @pytest.mark.parametrize("ids", ["", ",", " , "])
+    def test_empty_dataset_list(self, capsys, ids):
+        code, out, err = run_cli(capsys, "bench", "--datasets", ids)
+        assert (code, out) == (2, "")
+        assert "at least one dataset id" in err
+
     def test_no_truth_dataset(self, capsys, monkeypatch):
         truth = {k: v for k, v in cli.datasets.GROUND_TRUTH.items() if k != "pairsum"}
         monkeypatch.setattr(cli.datasets, "GROUND_TRUTH", truth)
@@ -265,6 +289,17 @@ class TestVerify:
         _, out, _ = run_cli(capsys, "verify", "--datasets", "pairsum")
         assert "f0 max-synergy sets: {f1}, {f3}, {f1,f3}" in out
 
+    @pytest.mark.parametrize("ids", ["", ","])
+    def test_empty_dataset_list(self, capsys, ids):
+        code, out, err = run_cli(capsys, "verify", "--datasets", ids)
+        assert (code, out) == (2, "")
+        assert "at least one dataset id" in err
+
+    def test_unknown_dataset(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--datasets", "rvq,zzz")
+        assert (code, out) == (2, "")
+        assert "'zzz'" in err
+
 
 class TestExitCodes:
     def test_bad_flag_value(self, capsys):
@@ -276,6 +311,15 @@ class TestExitCodes:
             capsys, "analyze", "--dataset", "rvq", "--alpha", "2.0"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["analyze", "bench"])
+    @pytest.mark.parametrize("eps_zero", ["-1", "nan", "inf"])
+    def test_bad_eps_zero(self, capsys, command, eps_zero):
+        argv = ["--dataset", "rvq"] if command == "analyze" else ["--datasets", "rvq"]
+        code, out, err = run_cli(capsys, command, *argv, "--n", "300",
+                                 "--eps-zero", eps_zero)
+        assert (code, out) == (2, "")
+        assert "eps_zero" in err
 
     def test_missing_input_file(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--input", "/no/such/file.csv")
@@ -310,6 +354,33 @@ class TestExitCodes:
     def test_no_command(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 2
+
+
+# The exit code and the sha256 of stdout of command lines whose bytes must
+# not change; bench prints the same lines on one CPU and on a pool.
+PINNED = [
+    (("analyze", "--dataset", "rvq", "--n", "300"),
+     0, "e407674d44a34686eafebae31d95b9ce8311f5bdc4db0ddf9f0f8a55a8e05099"),
+    (("analyze", "--dataset", "wt", "--n", "300", "--reps", "3"),
+     0, "6ed59123618177ae73dfd907436f170d571b94fd551accb0bf0c2fcaecec204c"),
+    (("analyze", "--dataset", "terc1", "--terc-rule", "pair", "--units", "bits",
+      "--dup", "2"),
+     0, "ecf40626bfacaf144e0947969dc029e19e7cfc65b1637f740c45958b57a0ccb3"),
+    (("gen", "--dataset", "sg", "--n", "20", "--seed", "3"),
+     0, "d94528fa686d6891eff6ba4159e2e57cd5abfc5f3d5e5dcd7cfb488356111f55"),
+    (("bench", "--seeds", "2"),
+     0, "daff8c9d975e507dccc5c7a6c914fc838c8ac728cf4891980238e725ef1edc9f"),
+    (("verify",),
+     0, "b676d9251ad2b12c0513760a9f103dcbc621548f3d5efbd36261e1916d2bd69b"),
+]
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("argv,code,digest", PINNED,
+                             ids=[" ".join(p[0]) for p in PINNED])
+    def test_stdout_and_exit_code(self, capsys, argv, code, digest):
+        got, out, _ = run_cli(capsys, *argv)
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
 class TestModuleEntry:

@@ -100,6 +100,13 @@ class TestSignificanceRules:
         with pytest.raises(ConfigError):
             significantly_positive(ens(1.0), alpha=0.0)
 
+    @pytest.mark.parametrize("eps_zero", [-1.0, math.nan, math.inf])
+    def test_bad_eps_zero(self, eps_zero):
+        with pytest.raises(ConfigError, match="eps_zero"):
+            significantly_positive(ens(1.0), eps_zero=eps_zero)
+        with pytest.raises(ConfigError, match="eps_zero"):
+            is_redundant(ens(-1.0), eps_zero=eps_zero)
+
 
 class TestMiCache:
     def test_memoizes(self):
@@ -376,3 +383,9 @@ class TestConfigHandling:
         data = population_table("rvq")
         with pytest.raises(ConfigError):
             run_pidf(data, alpha=-0.1)
+
+    @pytest.mark.parametrize("eps_zero", [-1.0, math.nan, math.inf])
+    def test_bad_eps_zero(self, eps_zero):
+        data = population_table("rvq")
+        with pytest.raises(ConfigError, match="eps_zero"):
+            run_pidf(data, eps_zero=eps_zero)
