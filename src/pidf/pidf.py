@@ -17,6 +17,7 @@ from itertools import chain, combinations
 from typing import Iterable
 
 from .estimators import (
+    _TARGET_ID,
     EstimatorConfig,
     ExactDiscrete,
     Ksg,
@@ -93,11 +94,12 @@ def is_redundant(
 class MiCache:
     """Memoizes MI ensembles per column-group pair for one (data, cfg) run.
 
-    Keys are canonicalized so I(A;B) and I(B;A) share one entry computed in
-    one fixed orientation, making symmetry bit-exact even for estimators
-    that are only statistically symmetric. A miss goes to estimate_mi,
-    whose per-dataset store bins and casts each column once and, for the
-    plug-in kinds, computes each column group's entropy once.
+    Keys are the groups' sorted column ids, canonicalized so I(A;B) and
+    I(B;A) share one entry computed in one fixed orientation, making
+    symmetry bit-exact even for estimators that are only statistically
+    symmetric. A miss passes the resolved ids (TARGET for the target) to
+    estimate_mi, whose per-dataset store bins and casts each column once
+    and, for the plug-in kinds, computes each column group's entropy once.
     """
 
     def __init__(self, data: Dataset, cfg: EstimatorConfig):
@@ -106,18 +108,28 @@ class MiCache:
         self._cache: dict[tuple[tuple[int, ...], tuple[int, ...]], EstimateEnsemble] = {}
 
     def mi(self, left, right) -> EstimateEnsemble:
-        """I(left; right). A miss passes the groups to estimate_mi as given,
-        so a group of ids must be a collection, not a one-pass iterator."""
+        """I(left; right), for groups as estimate_mi takes them."""
         left_ids = _resolve_group(self.data, left)
         right_ids = _resolve_group(self.data, right)
         if right_ids < left_ids:
-            left, right, left_ids, right_ids = right, left, right_ids, left_ids
+            left_ids, right_ids = right_ids, left_ids
         key = (left_ids, right_ids)
         hit = self._cache.get(key)
         if hit is None:
-            hit = estimators.estimate_mi(self.data, left, right, self.cfg)
+            hit = estimators.estimate_mi(self.data, _group(left_ids), _group(right_ids),
+                                         self.cfg)
             self._cache[key] = hit
         return hit
+
+
+def _group(ids: tuple[int, ...]):
+    """The group argument of resolved ids: TARGET for the target's."""
+    return TARGET if ids == (_TARGET_ID,) else ids
+
+
+def _with(ids: tuple[int, ...], *more: int) -> tuple[int, ...]:
+    """Sorted ids with more ids, none of them among ids, added."""
+    return tuple(sorted((*ids, *more)))
 
 
 @dataclass(frozen=True)
@@ -166,7 +178,7 @@ def theta(
     carries the feature's contribution (redundancy); positive values mean
     the pair is synergistic.
     """
-    ctx = FeatureSubset(context) if not isinstance(context, FeatureSubset) else context
+    ctx = (context if isinstance(context, FeatureSubset) else FeatureSubset(context)).indices
     if feature == candidate:
         raise ConfigError("feature and candidate must differ")
     if feature in ctx or candidate in ctx:
@@ -176,11 +188,9 @@ def theta(
             raise ConfigError(f"feature index {idx} out of range")
     if cache is None:
         cache = MiCache(data, cfg)
-    feat = FeatureSubset.of(feature)
-    cand = FeatureSubset.of(candidate)
-    with_candidate = cache.mi(TARGET, feat | ctx | cand)
-    base_candidate = cache.mi(TARGET, ctx | cand)
-    with_feature = cache.mi(TARGET, feat | ctx)
+    with_candidate = cache.mi(TARGET, _with(ctx, feature, candidate))
+    base_candidate = cache.mi(TARGET, _with(ctx, candidate))
+    with_feature = cache.mi(TARGET, _with(ctx, feature))
     base = cache.mi(TARGET, ctx)
     return EstimateEnsemble.linear(
         [(1.0, with_candidate), (-1.0, base_candidate), (-1.0, with_feature), (1.0, base)]
@@ -204,32 +214,31 @@ def run_pidf(
     require_nonnegative(eps_zero, "eps_zero")
     if data.n_features < 1:
         raise ConfigError("need at least one feature")
+    # Lookups pass sorted id tuples; FeatureSubsets are built only for
+    # what the report holds.
+    n_features = data.n_features
     cache = MiCache(data, cfg)
     results = []
     traces = []
-    for i in range(data.n_features):
+    for i in range(n_features):
         name = data.feature_names[i]
         try:
-            mi_i = cache.mi(TARGET, FeatureSubset.of(i))
-            pairwise = {
-                j: cache.mi(FeatureSubset.of(i), FeatureSubset.of(j))
-                for j in range(data.n_features)
-                if j != i
-            }
+            mi_i = cache.mi(TARGET, (i,))
+            pairwise = {j: cache.mi((i,), (j,)) for j in range(n_features) if j != i}
         except EstimatorError as err:
             raise EstimatorError(f"feature {name!r}: {err}") from err
         order = tuple(sorted(pairwise, key=lambda j: (-pairwise[j].mean, j)))
         related = FeatureSubset(
             j for j in order if significantly_positive(pairwise[j], alpha, eps_zero)
         )
-        surviving = {j for j in range(data.n_features) if j != i}
+        surviving = [j for j in range(n_features) if j != i]
         evaluations = []
         removed = []
         contributions = []
         for j in order:
             if j not in related:
                 continue
-            context = FeatureSubset(surviving - {j})
+            context = FeatureSubset(k for k in surviving if k != j)
             try:
                 th = theta(data, i, j, context, cfg, cache)
             except EstimatorError as err:
@@ -244,13 +253,13 @@ def run_pidf(
                 )
             )
             if verdict:
-                surviving.discard(j)
+                surviving.remove(j)
                 removed.append(j)
                 contributions.append((j, th.map(operator.neg)))
         pms = FeatureSubset(surviving)
         try:
-            joint = cache.mi(TARGET, pms.add(i))
-            partners_only = cache.mi(TARGET, pms)
+            joint = cache.mi(TARGET, _with(pms.indices, i))
+            partners_only = cache.mi(TARGET, pms.indices)
         except EstimatorError as err:
             raise EstimatorError(f"feature {name!r}: {err}") from err
         fws = EstimateEnsemble.linear(

@@ -180,7 +180,7 @@ class EstimateEnsemble:
             raise ConfigError("estimates and seeds must have equal length")
         if not self.estimates:
             raise ConfigError("an ensemble needs at least one estimate")
-        if not all(math.isfinite(e) for e in self.estimates):
+        if not all(map(math.isfinite, self.estimates)):
             raise EstimatorError(f"non-finite estimate in ensemble: {self.estimates}")
 
     @property
@@ -190,14 +190,13 @@ class EstimateEnsemble:
     @property
     def mean(self) -> float:
         first = self.estimates[0]
-        if all(e == first for e in self.estimates):
+        if self.estimates.count(first) == self.n:
             return first
         return float(np.mean(self.estimates))
 
     @property
     def std(self) -> float:
-        first = self.estimates[0]
-        if all(e == first for e in self.estimates):
+        if self.estimates.count(self.estimates[0]) == self.n:
             return 0.0
         return float(np.std(self.estimates, ddof=1))
 
@@ -481,6 +480,8 @@ class Confusion:
 
 
 def require_number(value: Any, name: str) -> float:
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
     return float(value)

@@ -71,6 +71,40 @@ def gaussian_pair(rho, n, seed=12345):
     )
 
 
+def constant_table(p):
+    """5 rows of p constant features and a constant target."""
+    return Dataset(feature_names=tuple(f"f{i}" for i in range(p)), features=np.zeros((5, p)),
+                   target=np.zeros(5), kinds=(ColumnKind.discrete(1),) * p,
+                   target_kind=ColumnKind.discrete(1))
+
+
+class TestGroups:
+    """A group of ids resolves as a FeatureSubset of them does. A tuple of
+    ints already sorted and unique is taken as it is."""
+
+    @pytest.mark.parametrize("group", [
+        (0, 2), [2, 0], (2, 0), (0, 0, 2), (np.int64(0), 2), (0.0, 2.0), (False, 2),
+        iter([2, 0]), F(0, 2),
+    ], ids=repr)
+    def test_ids_resolve_sorted(self, group):
+        data = constant_table(3)
+        ids = estimators._resolve_group(data, group)
+        assert ids == (0, 2) and all(type(i) is int for i in ids)
+
+    @pytest.mark.parametrize("group, message", [
+        ((-1,), "use the TARGET marker, not index -1"),
+        ([3, -1], "use the TARGET marker, not index -1"),
+        ((-3, -1), "feature index -3 out of range"),
+        ((0, 3, 7), "feature index 3 out of range"),
+        ([7, 0], "feature index 7 out of range"),
+    ])
+    def test_ids_out_of_range(self, group, message):
+        data = constant_table(3)
+        with pytest.raises(ConfigError) as err:
+            estimate_mi(data, group, TARGET, exact_cfg())
+        assert str(err.value) == message
+
+
 class TestExactDiscrete:
     def test_matches_oracle_on_random_instances(self):
         cfg = exact_cfg()
@@ -254,6 +288,23 @@ def plugin_tables(draw):
 
 
 @st.composite
+def repeated_rows(draw, tables):
+    """A table drawn from tables with each row repeated 1 to 40 times and
+    the rows shuffled, so that few of them are distinct."""
+    data = draw(tables)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rows = rng.permutation(np.repeat(np.arange(data.n_samples),
+                                     rng.integers(1, 41, size=data.n_samples)))
+    return Dataset(
+        feature_names=data.feature_names,
+        features=data.features[rows],
+        target=data.target[rows],
+        kinds=data.kinds,
+        target_kind=data.target_kind,
+    )
+
+
+@st.composite
 def wide_code_tables(draw):
     """A discrete table of 2 to 4 columns, target first, with tied values
     and repeated rows. Cardinalities up to 300 put the joint spans past
@@ -382,7 +433,7 @@ class TestPluginTable:
     """exact and binned estimates read each column group's entropy from one
     per-dataset store, with the bytes of coding every estimate afresh."""
 
-    @given(plugin_tables())
+    @given(st.one_of(plugin_tables(), repeated_rows(plugin_tables())))
     @settings(max_examples=60, deadline=None)
     def test_shared_entropies_give_the_three_entropy_bytes(self, data):
         kinds = [Binned(bins=3)] + ([ExactDiscrete()] if data.all_discrete else [])
@@ -437,11 +488,14 @@ class TestPluginTable:
         monkeypatch.setattr(estimators._PluginTable, "_code", code)
         monkeypatch.setattr(estimators, "_fold_rows", fold)
         run_pidf(binary_table(20000, 12, 1))
-        # Singletons and pairs come from the count table; only the 30 wider
-        # groups fold, each joint of a new side from that side's codes.
-        assert len(coded) == len(folded) == 30
+        # The table folds all 13 columns once to find the distinct rows, and
+        # remembers H of their joint. Singletons and pairs come from the
+        # count table; only the other 29 wider groups fold, each joint of a
+        # new side from that side's codes.
+        assert len(coded) == 29 and len(folded) == 30
         assert all(len(ids) > 2 for ids in coded)
-        assert sum(width for width, _, _ in folded) == 194
+        assert folded[0][0] == 13
+        assert sum(width for width, _, _ in folded) == 205
         # Each code has the narrowest signed type that holds its span.
         assert all(dtype == np.min_scalar_type(-span) for _, dtype, span in folded)
         assert {dtype.name for _, dtype, _ in folded} == {"int16"}
@@ -461,9 +515,9 @@ class TestPluginTable:
         tables, folded = [], []
         real_counts, real_fold = estimators._pair_counts, estimators._fold_rows
 
-        def counts(digits, radices, n):
+        def counts(digits, radices, weights):
             tables.append(len(digits))
-            return real_counts(digits, radices, n)
+            return real_counts(digits, radices, weights)
 
         def fold(columns, n):
             folded.append(len(columns))
@@ -477,10 +531,11 @@ class TestPluginTable:
             target=first.target, kinds=first.kinds, target_kind=first.target_kind,
         )
         cfg = exact_cfg()
+        # Each store folds its two columns once, to find the distinct rows.
         value = estimate_mi(first, F(0), TARGET, cfg).estimates[0]
-        assert tables == [2] and folded == []
+        assert tables == [2] and folded == [2]
         assert estimate_mi(twin, F(0), TARGET, cfg).estimates[0] == value
-        assert tables == [2, 2] and folded == []
+        assert tables == [2, 2] and folded == [2, 2]
         # Datasets made and dropped one after another never read each
         # other's entropies, whatever identities they get.
         for seed in range(20):
@@ -488,7 +543,7 @@ class TestPluginTable:
             assert estimate_mi(data, F(0), TARGET, cfg).estimates[0] == \
                 pytest.approx(oracle_mi(data, F(0), TARGET), abs=1e-9)
 
-    @given(count_tables())
+    @given(st.one_of(count_tables(), repeated_rows(count_tables())))
     @settings(max_examples=100, deadline=None)
     def test_count_table_gives_the_three_entropy_bytes(self, data):
         # Every I(a; b) of single columns, I(a; a) included, reads H(a),
@@ -503,12 +558,16 @@ class TestPluginTable:
     def test_count_table_at_chunk_edges(self, rows):
         # Columns the table covers (a constant one among them), one of 6
         # values it leaves out and, under binned only, a continuous one.
-        # test_plugin_pins.py pins 20000-row tables, five chunks each.
+        # The last column numbers the rows, so every row is kept and the
+        # product runs over chunks of them; test_pair_counts_at_the_float32_bound
+        # covers chunks of kept rows. test_plugin_pins.py pins 20000-row
+        # tables, five chunks each.
         rng = np.random.default_rng(rows)
-        cardinalities = (4, 2, 1, 6)
-        table = np.column_stack([rng.integers(0, c, size=rows) for c in cardinalities])
+        cardinalities = (4, 2, 1, 6, rows)
+        table = np.column_stack([rng.integers(0, c, size=rows) for c in cardinalities[:-1]]
+                                + [rng.permutation(rows)])
         discrete = Dataset(
-            feature_names=("f0", "f1", "f2"),
+            feature_names=("f0", "f1", "f2", "f3"),
             features=table[:, 1:].astype(np.float64),
             target=table[:, 0].astype(np.float64),
             kinds=tuple(ColumnKind.discrete(c) for c in cardinalities[1:]),
@@ -516,7 +575,7 @@ class TestPluginTable:
         )
         ties = rng.integers(0, 6, size=rows) + rng.choice((0.0, 0.25, 0.5), size=rows)
         mixed = Dataset(
-            feature_names=("f0", "f1", "f2", "f3"),
+            feature_names=("f0", "f1", "f2", "f3", "f4"),
             features=np.column_stack([discrete.features, ties]),
             target=discrete.target,
             kinds=(*discrete.kinds, ColumnKind.continuous()),
@@ -527,6 +586,7 @@ class TestPluginTable:
             for kind in plugin_kinds(data):
                 assert_three_entropy_bytes(
                     data, kind, itertools.combinations_with_replacement(groups, 2))
+        assert estimators._prepared(discrete, ExactDiscrete())._weights is None
 
     @given(bound_tables(), st.randoms(use_true_random=False))
     @settings(max_examples=15, deadline=None)
@@ -541,6 +601,61 @@ class TestPluginTable:
             assert_three_entropy_bytes(data, kind, pairs)
             store = estimators._prepared(data, kind)
             assert (store._counts is None) == (width > estimators._TABLE_WIDTH)
+
+    @pytest.mark.parametrize("rows", [1, 3, estimators._TABLE_ROWS + 2])
+    @pytest.mark.parametrize("total", [(1 << 24) - 2, (1 << 24) - 1, (1 << 24) + 1])
+    def test_pair_counts_at_the_float32_bound(self, rows, total):
+        # Each chunk's weights sum to total, just below, at or past
+        # _TABLE_EXACT: float32 holds every integer up to 2**24, but not
+        # 2**24 + 1. The product must count exactly, as integers do.
+        assert estimators._TABLE_EXACT == (1 << 24) - 1
+        rng = np.random.default_rng(rows)
+        radices = [3, 1, 4]
+        digits = [rng.integers(0, r, size=rows).astype(np.int8) for r in radices]
+        weights = np.ones(rows, dtype=np.int64)
+        for start in range(0, rows, estimators._TABLE_ROWS):
+            stop = min(rows, start + estimators._TABLE_ROWS)
+            weights[start] += total - (stop - start)
+        ind = np.vstack([d == v for d, r in zip(digits, radices) for v in range(r)])
+        ind = ind.astype(np.int64)
+        np.testing.assert_array_equal(estimators._pair_counts(digits, radices, weights),
+                                      ind @ (ind * weights).T)
+
+    def test_keeps_one_row_per_distinct_state(self):
+        from test_plugin_pins import binary_table
+
+        # 13 columns hold 10 independent bits: 1,024 distinct rows among 20,000.
+        data = binary_table(20000, 12, 1)
+        store = estimators._prepared(data, ExactDiscrete())
+        assert store._weights.shape == (1024,) and store._weights.sum() == 20000
+        assert {digits.shape for digits, _ in store._digits.values()} == {(1024,)}
+        # 16 bits in 2,000 rows hardly repeat: every row is kept.
+        data = binary_table(2000, 16, 5)
+        store = estimators._prepared(data, ExactDiscrete())
+        assert store._weights is None
+        assert {digits.shape for digits, _ in store._digits.values()} == {(2000,)}
+
+    @pytest.mark.parametrize("distinct", [39, 40, 41])
+    def test_distinct_row_cutoff(self, distinct):
+        # 100 rows holding `distinct` states of f0; f1 and the target are
+        # its parity, so the rows have as many distinct states as f0.
+        n = 100
+        assert estimators._DISTINCT_SHARE * n == 40
+        rng = np.random.default_rng(distinct)
+        states = rng.permutation(np.concatenate(
+            [np.arange(distinct), rng.integers(0, distinct, size=n - distinct)]))
+        bits = (states % 2).astype(np.float64)
+        data = Dataset(
+            feature_names=("f0", "f1"),
+            features=np.column_stack([states.astype(np.float64), bits]),
+            target=bits,
+            kinds=(ColumnKind.discrete(distinct), ColumnKind.discrete(2)),
+            target_kind=ColumnKind.discrete(2),
+        )
+        store = estimators._prepared(data, ExactDiscrete())
+        assert (store._weights is None) == (distinct > 40)
+        for kind in (ExactDiscrete(), Binned(bins=3)):
+            assert_three_entropy_bytes(data, kind, group_pairs(2))
 
     def test_exact_table_never_reads_a_continuous_column(self, monkeypatch):
         read = []

@@ -18,6 +18,7 @@ from pidf import (
     TARGET,
     brute_force_fws,
     default_config,
+    estimate_mi,
     is_redundant,
     oracle_mi,
     population_table,
@@ -130,6 +131,24 @@ class TestMiCache:
         got = cache.mi(TARGET, FeatureSubset.of(0, 1))
         direct = oracle_mi(data, FeatureSubset.of(0, 1), TARGET)
         assert got.mean == pytest.approx(direct, abs=1e-12)
+
+    def test_one_pass_iterator_group(self):
+        # A miss estimates the ids read from the iterator, not the iterator
+        # itself, which the lookup has already used up.
+        data = population_table("msq")
+        cfg = default_config(data)
+        cache = MiCache(data, cfg)
+        direct = estimate_mi(data, TARGET, FeatureSubset.of(0, 1), cfg)
+        assert direct.mean == pytest.approx(1.0397, abs=1e-4)
+        assert cache.mi(TARGET, iter([0, 1])) == direct
+        assert cache.mi(TARGET, [0, 1]) == direct
+
+    def test_id_tuples_share_entries_with_subsets(self):
+        data = population_table("terc2")
+        cache = MiCache(data, default_config(data))
+        a = cache.mi(TARGET, (0, 2, 5))
+        assert cache.mi(FeatureSubset.of(5, 0, 2), TARGET) is a
+        assert cache.mi(TARGET, [5, 2, 0, 2]) is a
 
 
 class TestTheta:

@@ -25,6 +25,11 @@ EXACT_W13 = "0x1.62e3bafdbc520p+0"
 BINNED_W3 = "0x1.bdb935bb630c8p-1"
 EXACT_RUN_SHA256 = "13b15b26f900309cdaf12d57ea9c3ccbf2139d06bd2b237c8a9fd825789b77e4"
 BINNED_RUN_SHA256 = "097e8c7be7343061bd6e8c4cd93674b39ec3d52529650c7619cd175332c90a2e"
+# Runs on either side of the plug-in table's distinct-row cutoff: rows of
+# 16 bits that hardly repeat under exact, and 4 columns of 2 bins, so 16
+# distinct rows among 3,000, under binned.
+EXACT_DISTINCT_RUN_SHA256 = "9e0a3e88e2554e3e63f1dd4ef2324df6f15ce97073f5fd8f23030d85271c6d64"
+BINNED_REPEATED_RUN_SHA256 = "678595b99c75b853de036544b8c8655a41e22ecbfcc8bb769bf11a44ec923671"
 
 
 def binary_table(n: int, p: int, seed: int) -> Dataset:
@@ -93,3 +98,12 @@ def test_exact_run_json():
 
 def test_binned_run_json():
     assert run_sha256(gaussian_table(3000, 5, 4), binned_cfg()) == BINNED_RUN_SHA256
+
+
+def test_exact_run_on_distinct_rows_json():
+    assert run_sha256(binary_table(2000, 16, 5), exact_cfg()) == EXACT_DISTINCT_RUN_SHA256
+
+
+def test_binned_run_on_repeated_rows_json():
+    cfg = EstimatorConfig(kind=Binned(bins=2), repetitions=5)
+    assert run_sha256(gaussian_table(3000, 3, 6), cfg) == BINNED_REPEATED_RUN_SHA256
