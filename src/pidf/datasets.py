@@ -3,14 +3,21 @@
 Each generator draws every logical column from its own counter-based RNG
 stream (Philox keyed by user seed and a per-column tag), so appending
 columns or switching variants never perturbs the draws of earlier columns.
-The discrete generators also expose exact population tables: small row
-tables whose empirical distribution equals the definition's distribution
-exactly, used by golden tests that assert analytic values.
+
+Most discrete datasets are functions of a few fair bits, and each is defined
+once, in ``_FAIR_BIT``: the Philox tags of its bits, its cardinalities and
+one map from bit columns to feature columns and target. ``generate`` feeds
+that map seeded draws; ``population_table`` feeds it every combination of
+the bits once, a table whose empirical distribution equals the definition's
+exactly, used by golden tests that assert analytic values. ``sg`` draws its
+own rows and lists its own weighted population.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,6 +59,11 @@ GROUND_TRUTH: dict[str, FeatureSubset] = {
 }
 
 
+def _require_known(value: str, choices: tuple[str, ...], what: str) -> None:
+    if value not in choices:
+        raise ConfigError(f"unknown {what} {value!r}; expected one of {choices}")
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Which synthetic dataset to draw, how many rows, and from which seed."""
@@ -62,16 +74,10 @@ class GeneratorSpec:
     terc_rule: str = "all_equal"
 
     def __post_init__(self) -> None:
-        if self.dataset not in DATASET_IDS:
-            raise ConfigError(
-                f"unknown dataset id {self.dataset!r}; expected one of {DATASET_IDS}"
-            )
+        _require_known(self.dataset, DATASET_IDS, "dataset id")
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
-        if self.terc_rule not in TERC_RULES:
-            raise ConfigError(
-                f"unknown terc rule {self.terc_rule!r}; expected one of {TERC_RULES}"
-            )
+        _require_known(self.terc_rule, TERC_RULES, "terc rule")
 
 
 def _bernoulli(seed: int, tag: int, n: int, p: float = 0.5) -> np.ndarray:
@@ -83,57 +89,66 @@ def _normal(seed: int, tag: int, n: int) -> np.ndarray:
 
 
 def _dataset(
-    names: tuple[str, ...],
     columns: list[np.ndarray],
     target: np.ndarray,
     kinds: tuple[ColumnKind, ...],
     target_kind: ColumnKind,
-    spec: GeneratorSpec,
+    seed: int | None,
+    source: str,
 ) -> Dataset:
     return Dataset(
-        feature_names=names,
+        feature_names=tuple(f"f{i}" for i in range(len(kinds))),
         features=np.column_stack(columns),
         target=target,
         kinds=kinds,
         target_kind=target_kind,
-        seed=spec.seed,
-        source=f"generated:{spec.dataset}",
+        seed=seed,
+        source=source,
     )
 
 
-def _gen_rvq(spec: GeneratorSpec) -> Dataset:
-    n, seed = spec.n_samples, spec.seed
-    f0 = _bernoulli(seed, 0, n)
-    f1 = _bernoulli(seed, 1, n)
-    f2 = f1.copy()
-    y = f0 + 2.0 * f1
-    bern = ColumnKind.discrete(2)
-    return _dataset(
-        ("f0", "f1", "f2"), [f0, f1, f2], y,
-        (bern, bern, bern), ColumnKind.discrete(4), spec,
-    )
+class _FairBitDataset(NamedTuple):
+    """A discrete dataset that is a function of independent fair bits."""
+
+    tags: tuple[int, ...]
+    feature_levels: tuple[int, ...]
+    target_levels: int
+    columns: Callable[..., tuple]  # (terc_rule, *bits) -> (features, target)
+
+    def build(self, bits, terc_rule: str, seed: int | None, source: str) -> Dataset:
+        features, target = self.columns(terc_rule, *bits)
+        kinds = tuple(ColumnKind.discrete(k) for k in self.feature_levels)
+        return _dataset(
+            features, target, kinds, ColumnKind.discrete(self.target_levels),
+            seed, source,
+        )
 
 
-def _gen_svq(spec: GeneratorSpec) -> Dataset:
-    n, seed = spec.n_samples, spec.seed
-    f0 = _bernoulli(seed, 0, n)
-    f1 = _bernoulli(seed, 1, n)
-    y = np.logical_xor(f0 > 0.5, f1 > 0.5).astype(np.float64)
-    bern = ColumnKind.discrete(2)
-    return _dataset(("f0", "f1"), [f0, f1], y, (bern, bern), bern, spec)
+def _terc(copies: Callable[..., list[np.ndarray]]) -> _FairBitDataset:
+    def columns(rule: str, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple:
+        equal = (b == c) if rule == "pair" else (a == b) & (b == c)
+        return [a, b, c, *copies(a, b, c)], np.where(equal, 0.0, 1.0)
+
+    return _FairBitDataset((0, 1, 2), (2,) * 6, 2, columns)
 
 
-def _gen_msq(spec: GeneratorSpec) -> Dataset:
-    n, seed = spec.n_samples, spec.seed
-    f1 = _bernoulli(seed, 1, n)
-    f2 = _bernoulli(seed, 2, n)
-    f0 = f1 + f2
-    y = f0.copy()
-    bern = ColumnKind.discrete(2)
-    return _dataset(
-        ("f0", "f1", "f2"), [f0, f1, f2], y,
-        (ColumnKind.discrete(3), bern, bern), ColumnKind.discrete(3), spec,
-    )
+_FAIR_BIT: dict[str, _FairBitDataset] = {
+    "rvq": _FairBitDataset(
+        (0, 1), (2, 2, 2), 4, lambda rule, a, b: ([a, b, b], a + 2.0 * b)
+    ),
+    "svq": _FairBitDataset(
+        (0, 1), (2, 2), 2,
+        lambda rule, a, b: ([a, b], np.logical_xor(a > 0.5, b > 0.5).astype(np.float64)),
+    ),
+    "msq": _FairBitDataset(
+        (1, 2), (3, 2, 2), 3, lambda rule, a, b: ([a + b, a, b], a + b)
+    ),
+    "terc1": _terc(lambda a, b, c: [a, a, a]),
+    "terc2": _terc(lambda a, b, c: [a, b, c]),
+    "pairsum": _FairBitDataset(
+        (0, 1), (2,) * 4, 3, lambda rule, a, b: ([a, b, a, b], a + b)
+    ),
+}
 
 
 def _gen_wt(spec: GeneratorSpec) -> Dataset:
@@ -146,38 +161,7 @@ def _gen_wt(spec: GeneratorSpec) -> Dataset:
     f1 = 0.8 * eps1 + 0.2 * eps2 + 0.01 * f2
     y = np.sin(eps1) + 0.1 * eps3
     cont = ColumnKind.continuous()
-    return _dataset(
-        ("f0", "f1", "f2"), [f0, f1, f2], y, (cont, cont, cont), cont, spec
-    )
-
-
-def _terc_target(f0: np.ndarray, f1: np.ndarray, f2: np.ndarray, rule: str) -> np.ndarray:
-    if rule == "all_equal":
-        equal = (f0 == f1) & (f1 == f2)
-    else:
-        equal = f1 == f2
-    return np.where(equal, 0.0, 1.0)
-
-
-def _gen_terc(spec: GeneratorSpec, paired_copies: bool) -> Dataset:
-    n, seed = spec.n_samples, spec.seed
-    f0 = _bernoulli(seed, 0, n)
-    f1 = _bernoulli(seed, 1, n)
-    f2 = _bernoulli(seed, 2, n)
-    if paired_copies:
-        copies = [f0.copy(), f1.copy(), f2.copy()]
-    else:
-        copies = [f0.copy(), f0.copy(), f0.copy()]
-    y = _terc_target(f0, f1, f2, spec.terc_rule)
-    bern = ColumnKind.discrete(2)
-    return _dataset(
-        ("f0", "f1", "f2", "f3", "f4", "f5"),
-        [f0, f1, f2, *copies],
-        y,
-        (bern,) * 6,
-        bern,
-        spec,
-    )
+    return _dataset([f0, f1, f2], y, (cont,) * 3, cont, seed, f"generated:{spec.dataset}")
 
 
 def _gen_ubr(spec: GeneratorSpec) -> Dataset:
@@ -193,7 +177,7 @@ def _gen_ubr(spec: GeneratorSpec) -> Dataset:
     f3 = y + eps3
     cont = ColumnKind.continuous()
     return _dataset(
-        ("f0", "f1", "f2", "f3"), [f0, f1, f2, f3], y, (cont,) * 4, cont, spec
+        [f0, f1, f2, f3], y, (cont,) * 4, cont, seed, f"generated:{spec.dataset}"
     )
 
 
@@ -221,43 +205,20 @@ def _gen_sg(spec: GeneratorSpec) -> Dataset:
     p_marker = 0.2 + 0.6 * y
     f2 = (philox(seed, 22).random(n) < p_marker).astype(np.float64)
     bern = ColumnKind.discrete(2)
-    return _dataset(
-        ("f0", "f1", "f2"), [f0, f1, f2], y, (bern, bern, bern), bern, spec
-    )
+    return _dataset([f0, f1, f2], y, (bern,) * 3, bern, seed, f"generated:{spec.dataset}")
 
 
-def _gen_pairsum(spec: GeneratorSpec) -> Dataset:
-    n, seed = spec.n_samples, spec.seed
-    f0 = _bernoulli(seed, 0, n)
-    f1 = _bernoulli(seed, 1, n)
-    y = f0 + f1
-    bern = ColumnKind.discrete(2)
-    return _dataset(
-        ("f0", "f1", "f2", "f3"),
-        [f0, f1, f0.copy(), f1.copy()],
-        y,
-        (bern,) * 4,
-        ColumnKind.discrete(3),
-        spec,
-    )
-
-
-_GENERATORS = {
-    "rvq": _gen_rvq,
-    "svq": _gen_svq,
-    "msq": _gen_msq,
-    "wt": _gen_wt,
-    "terc1": lambda spec: _gen_terc(spec, paired_copies=False),
-    "terc2": lambda spec: _gen_terc(spec, paired_copies=True),
-    "ubr": _gen_ubr,
-    "sg": _gen_sg,
-    "pairsum": _gen_pairsum,
-}
+_GENERATORS = {"wt": _gen_wt, "ubr": _gen_ubr, "sg": _gen_sg}
 
 
 def generate(spec: GeneratorSpec) -> Dataset:
     """Draw one synthetic dataset; identical spec gives identical bytes."""
-    return _GENERATORS[spec.dataset](spec)
+    fair = _FAIR_BIT.get(spec.dataset)
+    if fair is None:
+        return _GENERATORS[spec.dataset](spec)
+    n, seed = spec.n_samples, spec.seed
+    bits = [_bernoulli(seed, tag, n) for tag in fair.tags]
+    return fair.build(bits, spec.terc_rule, seed, f"generated:{spec.dataset}")
 
 
 def duplicate_feature(data: Dataset, index: int) -> Dataset:
@@ -283,22 +244,27 @@ def duplicate_feature(data: Dataset, index: int) -> Dataset:
     )
 
 
-def _expand(rows: list[tuple[tuple[float, ...], float, int]], spec_id: str,
-            kinds: tuple[ColumnKind, ...], target_kind: ColumnKind) -> Dataset:
+def _sg_population() -> Dataset:
     feats = []
     target = []
-    for values, y, count in rows:
-        feats.extend([values] * count)
-        target.extend([y] * count)
-    names = tuple(f"f{i}" for i in range(len(kinds)))
-    return Dataset(
-        feature_names=names,
-        features=np.asarray(feats, dtype=np.float64),
-        target=np.asarray(target, dtype=np.float64),
-        kinds=kinds,
-        target_kind=target_kind,
-        seed=None,
-        source=f"population:{spec_id}",
+    for y, both_weight in ((0, 57), (1, 3)):
+        # 300 rows per label. A state of weight w yields 5w rows (the
+        # marker gene splits them 1:4 for y=0, 4:1 for y=1), so the
+        # favored (1,1) state holds 285 of 300 rows when y=0 (p=0.95)
+        # and 15 when y=1, and each other state gets a third of the rest.
+        marker_one = 1 if y == 0 else 4
+        marker_zero = 5 - marker_one
+        states = [((1.0, 1.0), both_weight)] + [
+            (s, (60 - both_weight) // 3) for s in _SG_OTHER_STATES
+        ]
+        for (a, b), weight in states:
+            for marker, count in ((1.0, weight * marker_one), (0.0, weight * marker_zero)):
+                feats.extend([(a, b, marker)] * count)
+                target.extend([float(y)] * count)
+    bern = ColumnKind.discrete(2)
+    return _dataset(
+        [np.asarray(feats, dtype=np.float64)], np.asarray(target, dtype=np.float64),
+        (bern,) * 3, bern, None, "population:sg",
     )
 
 
@@ -308,72 +274,17 @@ def population_table(dataset: str, terc_rule: str = "all_equal") -> Dataset:
     The returned table's empirical joint distribution equals the generating
     distribution exactly (each outcome appears with an integer count whose
     frequency is the outcome's true probability), so plug-in quantities on
-    it are the analytic population values.
+    it are the analytic population values. A fair-bit dataset lists each
+    combination of its bits once, the first bit varying slowest.
     """
-    if dataset not in DATASET_IDS:
-        raise ConfigError(
-            f"unknown dataset id {dataset!r}; expected one of {DATASET_IDS}"
-        )
-    bern = ColumnKind.discrete(2)
-    if dataset == "rvq":
-        rows = [
-            ((float(a), float(b), float(b)), float(a + 2 * b), 1)
-            for a in (0, 1)
-            for b in (0, 1)
-        ]
-        return _expand(rows, dataset, (bern,) * 3, ColumnKind.discrete(4))
-    if dataset == "svq":
-        rows = [
-            ((float(a), float(b)), float(a ^ b), 1) for a in (0, 1) for b in (0, 1)
-        ]
-        return _expand(rows, dataset, (bern,) * 2, bern)
-    if dataset == "msq":
-        rows = [
-            ((float(a + b), float(a), float(b)), float(a + b), 1)
-            for a in (0, 1)
-            for b in (0, 1)
-        ]
-        return _expand(
-            rows, dataset, (ColumnKind.discrete(3), bern, bern), ColumnKind.discrete(3)
-        )
-    if dataset in ("terc1", "terc2"):
-        rows = []
-        for a in (0, 1):
-            for b in (0, 1):
-                for c in (0, 1):
-                    if terc_rule == "all_equal":
-                        y = 0.0 if a == b == c else 1.0
-                    else:
-                        y = 0.0 if b == c else 1.0
-                    if dataset == "terc1":
-                        copies = (float(a), float(a), float(a))
-                    else:
-                        copies = (float(a), float(b), float(c))
-                    rows.append(
-                        ((float(a), float(b), float(c), *copies), y, 1)
-                    )
-        return _expand(rows, dataset, (bern,) * 6, bern)
+    _require_known(dataset, DATASET_IDS, "dataset id")
+    _require_known(terc_rule, TERC_RULES, "terc rule")
     if dataset == "sg":
-        rows = []
-        for y, both_weight in ((0, 57), (1, 3)):
-            # 300 rows per label. A state of weight w yields 5w rows (the
-            # marker gene splits them 1:4 for y=0, 4:1 for y=1), so the
-            # favored (1,1) state holds 285 of 300 rows when y=0 (p=0.95)
-            # and 15 when y=1, and each other state gets a third of the rest.
-            marker_one = 1 if y == 0 else 4
-            marker_zero = 5 - marker_one
-            states = [((1.0, 1.0), both_weight)] + [
-                (s, (60 - both_weight) // 3) for s in _SG_OTHER_STATES
-            ]
-            for (a, b), weight in states:
-                rows.append(((a, b, 1.0), float(y), weight * marker_one))
-                rows.append(((a, b, 0.0), float(y), weight * marker_zero))
-        return _expand(rows, dataset, (bern,) * 3, bern)
-    if dataset == "pairsum":
-        rows = [
-            ((float(a), float(b), float(a), float(b)), float(a + b), 1)
-            for a in (0, 1)
-            for b in (0, 1)
-        ]
-        return _expand(rows, dataset, (bern,) * 4, ColumnKind.discrete(3))
-    raise DatasetError(f"no exact population table for continuous dataset {dataset!r}")
+        return _sg_population()
+    fair = _FAIR_BIT.get(dataset)
+    if fair is None:
+        raise DatasetError(
+            f"no exact population table for continuous dataset {dataset!r}"
+        )
+    combos = np.array(list(itertools.product((0.0, 1.0), repeat=len(fair.tags))))
+    return fair.build(combos.T, terc_rule, None, f"population:{dataset}")

@@ -448,9 +448,6 @@ class PidfReport:
     def n_features(self) -> int:
         return len(self.results)
 
-    def result(self, index: int) -> PidfFeatureResult:
-        return self.results[index]
-
 
 @dataclass(frozen=True)
 class SelectionResult:
@@ -460,9 +457,6 @@ class SelectionResult:
     phase1: FeatureSubset
     rationales: tuple[str, ...]
     n_features: int
-
-    def mask(self) -> tuple[bool, ...]:
-        return tuple(i in self.selected for i in range(self.n_features))
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,24 @@ class TestPopulationTables:
             with pytest.raises(DatasetError):
                 population_table(dataset_id)
 
+    def test_unknown_terc_rule_rejected(self):
+        with pytest.raises(ConfigError, match="unknown terc rule 'sometimes'"):
+            population_table("terc1", terc_rule="sometimes")
+
+    @pytest.mark.parametrize("terc_rule", datasets.TERC_RULES)
+    @pytest.mark.parametrize(
+        "dataset_id", ["rvq", "svq", "msq", "terc1", "terc2", "sg", "pairsum"]
+    )
+    def test_generator_rows_match_population(self, dataset_id, terc_rule):
+        """A large draw shows exactly the population table's distinct rows."""
+
+        def distinct_rows(data):
+            return set(map(tuple, np.column_stack([data.features, data.target])))
+
+        pop = population_table(dataset_id, terc_rule)
+        emp = generate(GeneratorSpec(dataset_id, 20000, 0, terc_rule))
+        assert distinct_rows(emp) == distinct_rows(pop)
+
     def test_empirical_converges_to_population(self):
         """Large-sample empirical MI approaches the population value."""
         pop = population_table("rvq")

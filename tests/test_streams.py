@@ -17,6 +17,7 @@ from pidf import (
     dataset_fingerprint,
     estimate_mi,
     generate,
+    population_table,
 )
 
 FINGERPRINTS = {
@@ -31,6 +32,20 @@ FINGERPRINTS = {
     "pairsum": "49a20e7514cf4900",
 }
 
+# Exact population tables: (dataset id, terc rule) -> fingerprint. The rule
+# changes only the terc targets.
+POPULATION_FINGERPRINTS = {
+    ("rvq", "all_equal"): "83b42e46af653168",
+    ("svq", "all_equal"): "d8c8907b570d7188",
+    ("msq", "all_equal"): "b0031fa55686a968",
+    ("terc1", "all_equal"): "de8d34d94642d1da",
+    ("terc2", "all_equal"): "b2b3f30d9f452b2d",
+    ("sg", "all_equal"): "961d540c054ffda6",
+    ("pairsum", "all_equal"): "606da44657f2dee7",
+    ("terc1", "pair"): "878539c7dd202a64",
+    ("terc2", "pair"): "dd9e6fc2cb9c8789",
+}
+
 
 def test_every_generator_is_pinned():
     assert set(FINGERPRINTS) == set(DATASET_IDS)
@@ -40,6 +55,12 @@ def test_every_generator_is_pinned():
 def test_generator_streams(dataset_id):
     data = generate(GeneratorSpec(dataset_id, 500, 7))
     assert dataset_fingerprint(data) == FINGERPRINTS[dataset_id]
+
+
+@pytest.mark.parametrize("dataset_id,terc_rule", sorted(POPULATION_FINGERPRINTS))
+def test_population_tables(dataset_id, terc_rule):
+    data = population_table(dataset_id, terc_rule)
+    assert dataset_fingerprint(data) == POPULATION_FINGERPRINTS[dataset_id, terc_rule]
 
 
 def test_ksg_subsample_and_jitter_streams():
