@@ -84,7 +84,7 @@ class TestGroups:
 
     @pytest.mark.parametrize("group", [
         (0, 2), [2, 0], (2, 0), (0, 0, 2), (np.int64(0), 2), (0.0, 2.0), (False, 2),
-        iter([2, 0]), F(0, 2),
+        pytest.param(iter([2, 0]), id="iter([2, 0])"), F(0, 2),
     ], ids=repr)
     def test_ids_resolve_sorted(self, group):
         data = constant_table(3)
