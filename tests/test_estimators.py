@@ -9,6 +9,7 @@ import queue
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,6 @@ from pidf import (
 )
 from pidf import estimators
 from pidf.estimators import (
-    _PROBE_WIDTH,
     _KsgSample,
     _ball_counts,
     _dense,
@@ -788,12 +788,13 @@ class TestKsg:
 
 @st.composite
 def ball_cases(draw):
-    """Points and per-point radii that sit on rounding edges."""
-    rows = draw(st.integers(min_value=1, max_value=60))
-    cols = draw(st.integers(min_value=1, max_value=4))
+    """Points and per-point radii that sit on rounding edges. Past 64 rows
+    the row bitsets take more than one word."""
+    rows = draw(st.integers(min_value=1, max_value=200))
+    cols = draw(st.integers(min_value=1, max_value=7))
     layout = draw(st.sampled_from(("grid", "near_1e8", "spread")))
     if layout == "grid":
-        # Few distinct values: balls full of ties, most wider than the probe.
+        # Few distinct values: balls full of ties.
         values = st.integers(min_value=0, max_value=3).map(float)
     elif layout == "near_1e8":
         # Spread 1e-7 around 1e8 spans only a few representable values.
@@ -814,6 +815,15 @@ def ball_cases(draw):
         dist,
     )
     return points, radius
+
+
+def ksg_ball_case(rows, cols, seed):
+    """Marginal points and the KSG radii (k=3) of a joint with one more
+    column; a coarse grid in the first column gives ties."""
+    joint = np.random.default_rng(seed).normal(size=(rows, cols + 1))
+    joint[:, 0] = np.round(joint[:, 0], 1)
+    eps = cKDTree(joint).query(joint, k=4, p=np.inf)[0][:, -1]
+    return joint[:, :cols], np.nextafter(eps, 0.0)
 
 
 def tree_ball_counts(points, radius):
@@ -856,38 +866,56 @@ class TestBallCounts:
 
     @pytest.mark.parametrize("cols", [1, 3])
     def test_fewer_rows_than_probe(self, cols):
-        rows = _PROBE_WIDTH - 4
+        rows = 12
         points = np.random.default_rng(2).normal(size=(rows, cols))
         radius = np.array([0.0, np.inf] * (rows // 2))
         counts = _ball_counts(points, radius)
         np.testing.assert_array_equal(counts, tree_ball_counts(points, radius))
         np.testing.assert_array_equal(counts, [1, rows] * (rows // 2))
 
+    @pytest.mark.parametrize("block", [None, 1, 2])
+    @pytest.mark.parametrize("rows", [63, 64, 65, 127, 128, 129, 255, 256, 257])
+    def test_word_and_block_edges(self, monkeypatch, rows, block):
+        # 64 rows fill one word of row ids. Under the default budget every
+        # case is one block; blocks of 1 or 2 words end at multiples of 64
+        # or 128 rows, and one row more starts another.
+        if block is not None:
+            monkeypatch.setattr(estimators, "_BALL_BYTES", block * 3 * 8 * (rows + 1))
+        points, radius = ksg_ball_case(rows, 4, seed=rows)
+        np.testing.assert_array_equal(_ball_counts(points, radius),
+                                      tree_ball_counts(points, radius))
+
+    def test_bitsets_stay_within_the_byte_budget(self):
+        # Unblocked, the prefix table and two gathers of 20,000 rows take
+        # about 3 * 48 MiB. The blocks take at most _BALL_BYTES; each
+        # column's sort order, ranks and windows (about 3.5 MiB at 5
+        # columns) make up the rest.
+        rng = np.random.default_rng(4)
+        points = rng.normal(size=(20000, 5))
+        radius = rng.uniform(0.0, 0.3, size=20000)
+        tracemalloc.start()
+        try:
+            _ball_counts(points, radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * estimators._BALL_BYTES
+
     def test_one_column_ksg_queries_no_ball(self, tree_calls):
         x = np.random.default_rng(1).normal(size=(400, 1))
         ksg_mi(x, x + np.random.default_rng(2).normal(size=(400, 1)), k=3)
         assert tree_calls == [("query", 2)]
 
-    def test_wide_marginal_probe_uses_the_stand_in(self, tree_calls):
-        x = np.random.default_rng(1).normal(size=(400, 3))
-        y = x.sum(axis=1, keepdims=True) + np.random.default_rng(2).normal(size=(400, 1))
-        ksg_mi(x, y, k=3)
-        queries = [call for call in tree_calls if call[0] == "query"]
-        assert queries == [("query", 4), ("query", 3)]
-
-    def test_two_columns_with_full_probes(self, tree_calls):
-        # A KSG radius of a 3-D joint holds more than the probe's
-        # _PROBE_WIDTH nearest neighbours in a 2-column marginal on most
-        # rows; the marginal is counted by one ball query, with no probe.
-        rng = np.random.default_rng(3)
-        joint = rng.normal(size=(1500, 3))
-        radius = np.nextafter(cKDTree(joint).query(joint, k=4, p=np.inf)[0][:, -1], 0.0)
-        points = joint[:, :2]
-        probe = cKDTree(points).query(points, k=_PROBE_WIDTH, p=np.inf)[0]
-        assert np.mean((probe <= radius[:, None]).all(axis=1)) > 0.5
-        np.testing.assert_array_equal(_ball_counts(points, radius),
-                                      tree_ball_counts(points, radius))
-        assert tree_calls == [("query_ball_point", 2)]
+    def test_ksg_queries_only_the_joint(self, tree_calls):
+        # Every marginal is counted without a tree: at each width, the
+        # stand-in sees one k-NN query of the joint and no ball query.
+        rng = np.random.default_rng(1)
+        for width in range(1, 7):
+            x = rng.normal(size=(400, width))
+            y = x.sum(axis=1, keepdims=True) + rng.normal(size=(400, 1))
+            ksg_mi(x, y, k=3)
+            assert tree_calls == [("query", width + 1)]
+            tree_calls.clear()
 
     def test_tree_attribute_is_scipy_when_unpatched(self):
         assert getattr(estimators, "cKDTree") is cKDTree
