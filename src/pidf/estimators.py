@@ -128,7 +128,9 @@ class Mine:
 
 EstimatorKind = Union[ExactDiscrete, Binned, Ksg, Mine]
 
-_KIND_NAMES = {ExactDiscrete: "exact", Binned: "binned", Ksg: "ksg", Mine: "mine"}
+# Each estimator kind by the name the CLI and the report JSON give it.
+KINDS = {"exact": ExactDiscrete, "binned": Binned, "ksg": Ksg, "mine": Mine}
+_KIND_NAMES = {kind: name for name, kind in KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,7 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
-        if not isinstance(self.kind, (ExactDiscrete, Binned, Ksg, Mine)):
+        if type(self.kind) not in _KIND_NAMES:
             raise ConfigError(f"unknown estimator kind {self.kind!r}")
         # Made once: every estimate asks for them.
         object.__setattr__(self, "_seeds", tuple(

@@ -27,6 +27,15 @@ from .types import (
 
 _TARGET_KEY = -1
 
+# Tolerance of every exact comparison: synergy ties, the theorem and
+# assumption checks, and the checks of ``pidf verify``.
+TOLERANCE = 1e-9
+
+# Largest feature counts the power-set enumerations accept: the per-feature
+# decomposition, and the checks that enumerate a power set per feature pair.
+_POWER_SET_CAP = 15
+_CHECK_CAP = 10
+
 GroupLike = "FeatureSubset | _TargetMarker | Iterable[int]"
 
 
@@ -193,6 +202,13 @@ def oracle_theta(
     return oracle.theta(i, j, ctx)
 
 
+def _require_cap(data: Dataset, cap: int, what: str) -> None:
+    if data.n_features > cap:
+        raise SubsetCapError(
+            f"{what} over {data.n_features} features exceeds the cap of {cap}"
+        )
+
+
 def _power_set(items: Sequence[int]) -> Iterable[tuple[int, ...]]:
     return chain.from_iterable(
         combinations(items, size) for size in range(len(items) + 1)
@@ -217,26 +233,17 @@ class OracleFeature:
 class OraclePidf:
     features: tuple[OracleFeature, ...]
 
-    def feature(self, index: int) -> OracleFeature:
-        return self.features[index]
 
-
-def oracle_pidf(
-    data: Dataset, cap: int = 15, tie_tol: float = 1e-9
-) -> OraclePidf:
+def oracle_pidf(data: Dataset) -> OraclePidf:
     """Exhaustive per-feature synergy/redundancy decomposition.
 
     For every feature the synergy maximum is taken over the full power set
     of the remaining features (the empty set included, so the maximum is
     never negative), with no shortcut assumptions. Subsets within
-    ``tie_tol`` of the maximum are all reported, ordered by size then
+    ``TOLERANCE`` of the maximum are all reported, ordered by size then
     lexicographically.
     """
-    if data.n_features > cap:
-        raise SubsetCapError(
-            f"exhaustive enumeration over {data.n_features} features exceeds "
-            f"the cap of {cap}"
-        )
+    _require_cap(data, _POWER_SET_CAP, "exhaustive enumeration")
     oracle = ExactOracle(data)
     all_features = tuple(range(data.n_features))
     out = []
@@ -248,7 +255,7 @@ def oracle_pidf(
         maximizers = tuple(
             FeatureSubset(subset)
             for subset, v in sorted(values, key=lambda sv: (len(sv[0]), sv[0]))
-            if v >= fws - tie_tol
+            if v >= fws - TOLERANCE
         )
         ii_full = oracle.interaction(i, rest)
         fwr = fws - ii_full
@@ -288,14 +295,10 @@ class TheoremReport:
     n_theta_checked: int
 
 
-def check_theorems(data: Dataset, cap: int = 10, tol: float = 1e-9) -> TheoremReport:
-    if data.n_features > cap:
-        raise SubsetCapError(
-            f"theorem checking over {data.n_features} features exceeds "
-            f"the cap of {cap}"
-        )
+def check_theorems(data: Dataset) -> TheoremReport:
+    _require_cap(data, _CHECK_CAP, "theorem checking")
     oracle = ExactOracle(data)
-    decomposition = oracle_pidf(data, cap=cap)
+    decomposition = oracle_pidf(data)
     all_features = tuple(range(data.n_features))
     y = frozenset({_TARGET_KEY})
 
@@ -323,7 +326,7 @@ def check_theorems(data: Dataset, cap: int = 10, tol: float = 1e-9) -> TheoremRe
                 n_checked += 1
                 lower_excess = lower - value
                 upper_excess = value - upper
-                if lower_excess > tol or upper_excess > tol:
+                if lower_excess > TOLERANCE or upper_excess > TOLERANCE:
                     violations += 1
                 max_lower_excess = max(max_lower_excess, lower_excess)
                 max_upper_excess = max(max_upper_excess, upper_excess)
@@ -336,18 +339,14 @@ def check_theorems(data: Dataset, cap: int = 10, tol: float = 1e-9) -> TheoremRe
     )
 
 
-def assumption_max_violation(data: Dataset, cap: int = 10) -> float:
+def assumption_max_violation(data: Dataset) -> float:
     """Worst case, over (i, j, P), of I(F_i;P) - I(F_i;P minus j) - I(F_i;F_j).
 
     Positive values mean some feature group tells more about F_i than its
     parts account for pairwise, the regime where the pairwise-MI redundancy
     screen (and the candidate-effect bounds) lose their guarantee.
     """
-    if data.n_features > cap:
-        raise SubsetCapError(
-            f"assumption checking over {data.n_features} features exceeds "
-            f"the cap of {cap}"
-        )
+    _require_cap(data, _CHECK_CAP, "assumption checking")
     oracle = ExactOracle(data)
     all_features = tuple(range(data.n_features))
     worst = 0.0
@@ -364,7 +363,7 @@ def assumption_max_violation(data: Dataset, cap: int = 10) -> float:
     return worst
 
 
-def assumption_holds(data: Dataset, cap: int = 10, tol: float = 1e-9) -> bool:
+def assumption_holds(data: Dataset) -> bool:
     """True when no feature group is synergistically redundant about another
     feature, the precondition for the pairwise redundancy screen."""
-    return assumption_max_violation(data, cap=cap) <= tol
+    return assumption_max_violation(data) <= TOLERANCE

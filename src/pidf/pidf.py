@@ -23,6 +23,7 @@ from .estimators import (
     Ksg,
     _resolve_group,
 )
+from .oracle import _POWER_SET_CAP, TOLERANCE, _require_cap
 from .types import (
     TARGET,
     ConfigError,
@@ -32,7 +33,6 @@ from .types import (
     FeatureSubset,
     PidfFeatureResult,
     PidfReport,
-    SubsetCapError,
     require_nonnegative,
     require_probability,
 )
@@ -304,23 +304,18 @@ def brute_force_fws(
     data: Dataset,
     feature: int,
     cfg: EstimatorConfig | None = None,
-    cap: int = 15,
-    tie_tol: float = 1e-9,
+    cap: int = _POWER_SET_CAP,
 ) -> tuple[EstimateEnsemble, tuple[FeatureSubset, ...]]:
     """Exhaustive synergy maximum over the power set of the other features.
 
     Returns the maximizing ensemble and every subset whose mean ties the
-    maximum within ``tie_tol``, ordered by subset size then lexicographic
+    maximum within ``TOLERANCE``, ordered by subset size then lexicographic
     order. The empty set always competes, so the maximum mean is >= 0 for
     estimators without negative noise.
     """
     if cfg is None:
         cfg = default_config(data)
-    if data.n_features > cap:
-        raise SubsetCapError(
-            f"exhaustive search over {data.n_features} features exceeds the cap "
-            f"of {cap}"
-        )
+    _require_cap(data, cap, "exhaustive search")
     if not 0 <= feature < data.n_features:
         raise ConfigError(f"feature index {feature} out of range")
     cache = MiCache(data, cfg)
@@ -341,7 +336,7 @@ def brute_force_fws(
     maximizers = tuple(
         subset
         for subset, ens in sorted(scored, key=lambda se: (len(se[0]), se[0].indices))
-        if ens.mean >= best_mean - tie_tol
+        if ens.mean >= best_mean - TOLERANCE
     )
     best_ens = next(
         ens for subset, ens in scored if subset == maximizers[0]

@@ -254,15 +254,12 @@ def write_csv(data: Dataset, path: "str | Path") -> None:
         raise DatasetError(f"cannot write {path}: {err}") from err
 
 
-def read_csv(
-    path: "str | Path",
-    target: str = "target",
-    seed: int | None = None,
-) -> Dataset:
+def read_csv(path: "str | Path", target: str = "target") -> Dataset:
     """Load a CSV with a header row into a validated Dataset.
 
-    Column kinds are inferred: small non-negative integer-valued columns
-    become discrete, everything else continuous.
+    Column kinds are inferred: a column of at most 32 distinct non-negative
+    integers becomes discrete, everything else continuous. To declare kinds,
+    build a Dataset instead.
     """
     path = Path(path)
     try:
@@ -281,6 +278,4 @@ def read_csv(
         raise DatasetError(f"cannot read {path}: {err}") from err
     if table.size == 0:
         raise DatasetError(f"{path}: no data rows")
-    return validate_dataset(
-        table, names, target=target, seed=seed, source=str(path)
-    )
+    return validate_dataset(table, names, target=target, source=str(path))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .pidf import DEFAULT_ALPHA, DEFAULT_EPS_ZERO, significantly_positive
+from .pidf import significantly_positive
 from .types import (
     Confusion,
     ConfigError,
@@ -35,9 +35,9 @@ def select_features(
     redundancy decisions already baked into it.
     """
     if alpha is None:
-        alpha = report.alpha if report.alpha is not None else DEFAULT_ALPHA
+        alpha = report.alpha
     if eps_zero is None:
-        eps_zero = report.eps_zero if report.eps_zero is not None else DEFAULT_EPS_ZERO
+        eps_zero = report.eps_zero
     n = report.n_features
     rationales: list[str] = [""] * n
     chosen: set[int] = set()

@@ -308,15 +308,17 @@ def _check_kind(name: str, kind: ColumnKind, col: np.ndarray) -> None:
         )
 
 
-def infer_kinds(
-    table: np.ndarray, discrete_cap: int = 32
-) -> tuple[ColumnKind, ...]:
-    """Guess a kind per column: small non-negative integer columns are discrete."""
+_DISCRETE_CAP = 32
+
+
+def infer_kinds(table: np.ndarray) -> tuple[ColumnKind, ...]:
+    """Guess a kind per column: a column of at most _DISCRETE_CAP distinct
+    non-negative integers is discrete, any other continuous."""
     kinds = []
     for col in np.asarray(table, dtype=np.float64).T:
         distinct = np.unique(col)
         integral = np.array_equal(np.rint(distinct), distinct)
-        if integral and distinct.size <= discrete_cap and (
+        if integral and distinct.size <= _DISCRETE_CAP and (
             distinct.size == 0 or distinct.min() >= 0
         ):
             card = int(distinct.max()) + 1 if distinct.size else 1
@@ -330,13 +332,10 @@ def validate_dataset(
     table: np.ndarray,
     names: Sequence[str],
     target: str = "target",
-    kinds: Sequence[ColumnKind] | None = None,
-    target_kind: ColumnKind | None = None,
-    seed: int | None = None,
     source: str = "memory",
-    discrete_cap: int = 32,
 ) -> Dataset:
-    """Build a Dataset from a combined table whose columns include the target."""
+    """Build a Dataset from a combined table whose columns include the
+    target, with every column's kind inferred."""
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2:
         raise DatasetError("table must be 2-d")
@@ -349,19 +348,13 @@ def validate_dataset(
     feat_idx = [i for i in range(table.shape[1]) if i != t_idx]
     feats = table[:, feat_idx]
     tgt = table[:, t_idx]
-    feat_names = tuple(names[i] for i in feat_idx)
-    if kinds is None:
-        kinds = infer_kinds(feats, discrete_cap)
-    if target_kind is None:
-        target_kind = infer_kinds(tgt.reshape(-1, 1), discrete_cap)[0]
     return Dataset(
-        feature_names=feat_names,
+        feature_names=tuple(names[i] for i in feat_idx),
         features=feats,
         target=tgt,
-        kinds=tuple(kinds),
-        target_kind=target_kind,
+        kinds=infer_kinds(feats),
+        target_kind=infer_kinds(tgt.reshape(-1, 1))[0],
         target_name=target,
-        seed=seed,
         source=source,
     )
 

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from pidf import SubsetCapError, cli
+from pidf import PidfReport, SubsetCapError, cli, population_table, render_json
 
 
 def run_cli(capsys, *argv):
@@ -262,12 +262,34 @@ class TestBench:
         assert (code, out) == (2, "")
         assert "at least one dataset id" in err
 
+    @pytest.mark.parametrize("ids", ["terc1,terc2", "rvq,terc2"])
+    def test_terc_under_pair_has_no_truth(self, capsys, ids):
+        # The terc ground truth {f0,f1,f2} is the all_equal rule's; under
+        # pair the target ignores f0.
+        code, out, err = run_cli(capsys, "bench", "--terc-rule", "pair",
+                                 "--datasets", ids, "--seeds", "3")
+        assert (code, out) == (2, "")
+        assert "no ground truth under --terc-rule pair" in err
+
     def test_no_truth_dataset(self, capsys, monkeypatch):
         truth = {k: v for k, v in cli.datasets.GROUND_TRUTH.items() if k != "pairsum"}
         monkeypatch.setattr(cli.datasets, "GROUND_TRUTH", truth)
         code, _, err = run_cli(capsys, "bench", "--datasets", "pairsum")
         assert code == 2
         assert "ground truth" in err
+
+
+class TestEstimatorFlag:
+    @pytest.mark.parametrize("name", [n for n in cli.ESTIMATOR_NAMES if n != "auto"])
+    def test_kind_carries_its_name(self, name):
+        args = cli.build_parser().parse_args(["analyze", "--estimator", name])
+        data = population_table("rvq")
+        cfg = cli._estimator_config(args, data, 0)
+        assert cfg.kind_name == name
+        # The report JSON names the kind the same way.
+        report = PidfReport((), (), "target", data.n_samples, cfg,
+                            cfg.repetitions, 0.05, 0.01)
+        assert json.loads(render_json(report))["config"]["estimator"]["kind"] == name
 
 
 class TestVerify:

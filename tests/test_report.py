@@ -11,6 +11,7 @@ import pytest
 
 from pidf import (
     BITS,
+    ColumnKind,
     ConfigError,
     DatasetError,
     GeneratorSpec,
@@ -198,6 +199,15 @@ class TestCsv:
         data = read_csv(path, target="label")
         assert data.target_name == "label"
         assert data.feature_names == ("a", "b")
+
+    def test_discrete_up_to_32_distinct_values(self, tmp_path):
+        # 33 rows: column a holds 0..31 (0 twice), column b holds 0..32.
+        path = tmp_path / "data.csv"
+        rows = [f"{i % 32},{i},{i % 2}" for i in range(33)]
+        path.write_text("a,b,target\n" + "\n".join(rows) + "\n")
+        data = read_csv(path)
+        assert data.kinds == (ColumnKind.discrete(32), ColumnKind.continuous())
+        assert data.target_kind == ColumnKind.discrete(2)
 
     def test_missing_target_column(self, tmp_path):
         path = tmp_path / "data.csv"
