@@ -534,8 +534,12 @@ class _KsgSample:
         self._rows: dict[int, np.ndarray] = {}
         self._columns: dict[tuple[int, int], np.ndarray] = {}
 
-    def matrix(self, ids: tuple[int, ...], rep_seed: int) -> np.ndarray:
-        return np.column_stack([self._column(i, rep_seed) for i in ids])
+    def mi(self, left_ids: tuple[int, ...], right_ids: tuple[int, ...],
+           rep_seed: int) -> float:
+        """One repetition's estimate of I(left; right)."""
+        x, y = (np.column_stack([self._column(i, rep_seed) for i in ids])
+                for ids in (left_ids, right_ids))
+        return ksg_mi(x, y, self.kind.k)
 
     def _column(self, col_id: int, rep_seed: int) -> np.ndarray:
         col = self._columns.get((rep_seed, col_id))
@@ -550,22 +554,40 @@ class _KsgSample:
         return col
 
 
-# The last dataset's store: its ksg columns or its plug-in entropies.
-# Dataset arrays are read-only, so the dataset's identity keys it; holding
-# the dataset keeps that identity from being reused by another. Everything
-# a store holds is a function of the data, the estimator kind and (for ksg)
-# the seed and column id alone, so callers sharing it cannot see each
-# other's results change.
-_store: _KsgSample | _PluginTable | None = None
+class _MineSample:
+    """One dataset for mine, which trains afresh on every estimate."""
+
+    def __init__(self, data: Dataset, kind: Mine):
+        self.data = data
+        self.kind = kind
+
+    def mi(self, left_ids: tuple[int, ...], right_ids: tuple[int, ...],
+           rep_seed: int) -> float:
+        """One repetition's estimate of I(left; right)."""
+        from . import mine
+
+        return mine.mine_estimate(np.column_stack(_columns(self.data, left_ids)),
+                                  np.column_stack(_columns(self.data, right_ids)),
+                                  self.kind.config, rep_seed)
 
 
-def _prepared(data: Dataset, kind: EstimatorKind) -> _KsgSample | _PluginTable | None:
-    """The store of (data, kind); None for mine, which keeps none."""
+# The store class of each estimator kind in KINDS.
+_STORES = {ExactDiscrete: _PluginTable, Binned: _PluginTable, Ksg: _KsgSample,
+           Mine: _MineSample}
+
+# The last dataset's store. Dataset arrays are read-only, so the dataset's
+# identity keys it; holding the dataset keeps that identity from being
+# reused by another. Everything a store holds is a function of the data,
+# the estimator kind and (for ksg) the seed and column id alone, so callers
+# sharing it cannot see each other's results change.
+_store: _PluginTable | _KsgSample | _MineSample | None = None
+
+
+def _prepared(data: Dataset, kind: EstimatorKind) -> _PluginTable | _KsgSample | _MineSample:
+    """The store of (data, kind)."""
     global _store
-    if isinstance(kind, Mine):
-        return None
     if _store is None or _store.data is not data or _store.kind != kind:
-        _store = (_KsgSample if isinstance(kind, Ksg) else _PluginTable)(data, kind)
+        _store = _STORES[type(kind)](data, kind)
     return _store
 
 
@@ -702,33 +724,6 @@ def ksg_mi(x: np.ndarray, y: np.ndarray, k: int) -> float:
     return float(value)
 
 
-def _estimate_once(
-    data: Dataset,
-    left_ids: tuple[int, ...],
-    right_ids: tuple[int, ...],
-    kind: EstimatorKind,
-    store: _KsgSample | _PluginTable | None,
-    rep_seed: int,
-) -> float:
-    """One repetition's estimate by ksg or mine. store is the _prepared
-    store of (data, kind), which ksg gathers its columns from; None for
-    mine."""
-    if isinstance(kind, Ksg):
-        return ksg_mi(store.matrix(left_ids, rep_seed),
-                      store.matrix(right_ids, rep_seed), kind.k)
-
-    if isinstance(kind, Mine):
-        from . import mine
-
-        return mine.mine_estimate(
-            np.column_stack(_columns(data, left_ids)),
-            np.column_stack(_columns(data, right_ids)),
-            kind.config, rep_seed,
-        )
-
-    raise ConfigError(f"unknown estimator kind {kind!r}")
-
-
 def usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -772,8 +767,8 @@ def estimate_mi(
     if cfg.is_deterministic:
         # The plug-in kinds give every repetition the same value.
         return EstimateEnsemble.constant(store.mi(left_ids, right_ids), seeds)
-    once = partial(_estimate_once, data, left_ids, right_ids, cfg.kind, store)
     # Each repetition draws only from its own seed's streams, and a ksg
     # repetition fills only its own seed's columns of the store, so no two
     # threads write the same key.
+    once = partial(store.mi, left_ids, right_ids)
     return EstimateEnsemble(tuple(_pool().map(once, seeds)), seeds)

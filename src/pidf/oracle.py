@@ -210,9 +210,17 @@ def _require_cap(data: Dataset, cap: int, what: str) -> None:
 
 
 def _power_set(items: Sequence[int]) -> Iterable[tuple[int, ...]]:
+    """Every subset of items, by size and then lexicographically."""
     return chain.from_iterable(
         combinations(items, size) for size in range(len(items) + 1)
     )
+
+
+def _ties(values: Sequence[float]) -> tuple[float, list[int]]:
+    """The largest of values, and the positions of the values within
+    ``TOLERANCE`` of it, in order."""
+    best = max(values)
+    return best, [k for k, v in enumerate(values) if v >= best - TOLERANCE]
 
 
 @dataclass(frozen=True)
@@ -250,13 +258,9 @@ def oracle_pidf(data: Dataset) -> OraclePidf:
     for i in all_features:
         rest = tuple(f for f in all_features if f != i)
         mi = oracle.mi({_TARGET_KEY}, {i})
-        values = [(subset, oracle.interaction(i, subset)) for subset in _power_set(rest)]
-        fws = max(v for _, v in values)
-        maximizers = tuple(
-            FeatureSubset(subset)
-            for subset, v in sorted(values, key=lambda sv: (len(sv[0]), sv[0]))
-            if v >= fws - TOLERANCE
-        )
+        subsets = tuple(_power_set(rest))
+        fws, ties = _ties([oracle.interaction(i, subset) for subset in subsets])
+        maximizers = tuple(FeatureSubset(subsets[k]) for k in ties)
         ii_full = oracle.interaction(i, rest)
         fwr = fws - ii_full
         mci = mi + fws

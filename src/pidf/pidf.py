@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import chain, combinations
 from typing import Iterable
 
 from .estimators import (
@@ -23,7 +22,7 @@ from .estimators import (
     Ksg,
     _resolve_group,
 )
-from .oracle import _POWER_SET_CAP, TOLERANCE, _require_cap
+from .oracle import _POWER_SET_CAP, _power_set, _require_cap, _ties
 from .types import (
     TARGET,
     ConfigError,
@@ -320,25 +319,12 @@ def brute_force_fws(
         raise ConfigError(f"feature index {feature} out of range")
     cache = MiCache(data, cfg)
     rest = [j for j in range(data.n_features) if j != feature]
-    mi_i = cache.mi(TARGET, FeatureSubset.of(feature))
-    scored: list[tuple[FeatureSubset, EstimateEnsemble]] = []
-    for subset in chain.from_iterable(
-        combinations(rest, size) for size in range(len(rest) + 1)
-    ):
-        partners = FeatureSubset(subset)
-        joint = cache.mi(TARGET, partners.add(feature))
-        partners_only = cache.mi(TARGET, partners)
-        interaction = EstimateEnsemble.linear(
-            [(1.0, joint), (-1.0, partners_only), (-1.0, mi_i)]
-        )
-        scored.append((partners, interaction))
-    best_mean = max(ens.mean for _, ens in scored)
-    maximizers = tuple(
-        subset
-        for subset, ens in sorted(scored, key=lambda se: (len(se[0]), se[0].indices))
-        if ens.mean >= best_mean - TOLERANCE
-    )
-    best_ens = next(
-        ens for subset, ens in scored if subset == maximizers[0]
-    )
-    return best_ens, maximizers
+    mi_i = cache.mi(TARGET, (feature,))
+    subsets = tuple(_power_set(rest))
+    ensembles = [
+        EstimateEnsemble.linear([(1.0, cache.mi(TARGET, _with(subset, feature))),
+                                 (-1.0, cache.mi(TARGET, subset)), (-1.0, mi_i)])
+        for subset in subsets
+    ]
+    _, ties = _ties([ens.mean for ens in ensembles])
+    return ensembles[ties[0]], tuple(FeatureSubset(subsets[k]) for k in ties)

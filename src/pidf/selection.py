@@ -23,27 +23,19 @@ from .types import (
 )
 
 
-def select_features(
-    report: PidfReport,
-    alpha: float | None = None,
-    eps_zero: float | None = None,
-) -> SelectionResult:
+def select_features(report: PidfReport) -> SelectionResult:
     """Pick a minimal feature subset from a decomposition report.
 
-    ``alpha`` and ``eps_zero`` default to the values the report was
+    The significance level and ``eps_zero`` are the ones the report was
     produced with, so selection decisions stay consistent with the
     redundancy decisions already baked into it.
     """
-    if alpha is None:
-        alpha = report.alpha
-    if eps_zero is None:
-        eps_zero = report.eps_zero
     n = report.n_features
     rationales: list[str] = [""] * n
     chosen: set[int] = set()
     phase1: set[int] = set()
     for res in report.results:
-        if significantly_positive(res.net_ensemble(), alpha, eps_zero):
+        if significantly_positive(res.net_ensemble(), report.alpha, report.eps_zero):
             chosen.add(res.index)
             phase1.add(res.index)
             rationales[res.index] = (
@@ -73,23 +65,16 @@ def select_features(
 
 
 def confusion_counts(
-    selected: "SelectionResult | FeatureSubset | Iterable[int]",
-    truth: "FeatureSubset | Iterable[int]",
-    n_features: int | None = None,
+    selection: SelectionResult, truth: "FeatureSubset | Iterable[int]"
 ) -> Confusion:
     """Selection-vs-ground-truth confusion counts.
 
     A true positive is a truly relevant feature that was selected; a true
     negative is an irrelevant feature that was dropped.
     """
-    if isinstance(selected, SelectionResult):
-        if n_features is None:
-            n_features = selected.n_features
-        selected = selected.selected
-    picked = FeatureSubset(selected)
+    n_features = selection.n_features
+    picked = selection.selected
     relevant = FeatureSubset(truth)
-    if n_features is None:
-        raise ConfigError("n_features required when selected is a bare subset")
     for subset, label in ((picked, "selected"), (relevant, "truth")):
         if subset and max(subset) >= n_features:
             raise ConfigError(f"{label} indices exceed n_features={n_features}")

@@ -302,7 +302,9 @@ def _check_kind(name: str, kind: ColumnKind, col: np.ndarray) -> None:
     rounded = np.rint(col)
     if not np.array_equal(rounded, col):
         raise DatasetError(f"column {name!r} declared discrete but has non-integers")
-    if col.size and (col.min() < 0 or col.max() >= kind.cardinality):
+    # The largest value compares as an exact integer: in float64 a
+    # cardinality past 2**53 can round down to that value.
+    if col.size and (col.min() < 0 or int(col.max()) >= kind.cardinality):
         raise DatasetError(
             f"column {name!r} has values outside [0, {kind.cardinality})"
         )
@@ -346,6 +348,8 @@ def validate_dataset(
         raise DatasetError(f"target column {target!r} not found in {names}")
     t_idx = names.index(target)
     feat_idx = [i for i in range(table.shape[1]) if i != t_idx]
+    if not feat_idx:
+        raise DatasetError("need at least one feature column besides the target")
     feats = table[:, feat_idx]
     tgt = table[:, t_idx]
     return Dataset(

@@ -348,6 +348,13 @@ class TestExitCodes:
         assert code == 3
         assert "dataset error" in err
 
+    def test_csv_without_feature_columns(self, capsys, tmp_path):
+        path = tmp_path / "target_only.csv"
+        path.write_text("target\n0\n1\n")
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert "dataset error" in err
+
     def test_unwritable_output(self, capsys):
         code, _, err = run_cli(
             capsys, "gen", "--dataset", "rvq", "--n", "5",

@@ -42,9 +42,9 @@ from pidf import (
 from pidf import estimators
 from pidf.estimators import (
     _KsgSample,
+    _MineSample,
     _ball_counts,
     _dense,
-    _estimate_once,
     _fold_rows,
     ksg_mi,
     subsample_rows,
@@ -962,8 +962,7 @@ class TestRepetitionPool:
         assert len(idents) >= 2
         # A fresh store derives every column again, one seed after another.
         sample = _KsgSample(data, cfg.kind)
-        sequential = [_estimate_once(data, (0, 2), (-1,), cfg.kind, sample, seed)
-                      for seed in cfg.seeds()]
+        sequential = [sample.mi((0, 2), (-1,), seed) for seed in cfg.seeds()]
         assert [v.hex() for v in ensemble.estimates] == [v.hex() for v in sequential]
         assert ensemble.seeds == cfg.seeds()
 
@@ -984,8 +983,8 @@ class TestRepetitionPool:
         monkeypatch.setattr(mine, "mine_estimate", recording_estimate)
         ensemble = estimate_mi(data, F(0, 1), TARGET, cfg)
         assert len(idents) >= 2
-        sequential = [_estimate_once(data, (0, 1), (-1,), cfg.kind, None, seed)
-                      for seed in cfg.seeds()]
+        sample = _MineSample(data, cfg.kind)
+        sequential = [sample.mi((0, 1), (-1,), seed) for seed in cfg.seeds()]
         assert [v.hex() for v in ensemble.estimates] == [v.hex() for v in sequential]
 
     def test_each_column_prepared_once_under_fast_switching(self, monkeypatch):
@@ -1007,9 +1006,7 @@ class TestRepetitionPool:
             sys.setswitchinterval(interval)
         assert sorted(jittered) == [(seed, col) for seed in cfg.seeds() for col in (0, 1, 2)]
         sample = _KsgSample(data, cfg.kind)
-        assert ensemble.estimates == tuple(
-            _estimate_once(data, (0, 1), (2,), cfg.kind, sample, seed) for seed in cfg.seeds()
-        )
+        assert ensemble.estimates == tuple(sample.mi((0, 1), (2,), seed) for seed in cfg.seeds())
 
     def test_repetition_error_reaches_the_caller(self):
         # 30% of 10 rows leaves 3, no more than k.

@@ -209,6 +209,20 @@ class TestCsv:
         assert data.kinds == (ColumnKind.discrete(32), ColumnKind.continuous())
         assert data.target_kind == ColumnKind.discrete(2)
 
+    @pytest.mark.parametrize("big", [2**53, 2**62])
+    def test_integers_past_float_precision_stay_discrete(self, tmp_path, big):
+        # In float64, 2**53 + 1 rounds to 2**53, so a cardinality compared
+        # there would reject the largest value it was inferred from.
+        rows = [(0, 0, 0), (1, 1, 1), (0, 1, 1), (1, 0, 0), (0, 0, 0), (1, 1, 1)]
+        small, large = tmp_path / "small.csv", tmp_path / "large.csv"
+        for path, top in ((small, 1), (large, big)):
+            path.write_text("a,b,target\n" + "".join(
+                f"{a * top},{b},{y}\n" for a, b, y in rows))
+        data = read_csv(large)
+        assert data.kinds[0] == ColumnKind.discrete(big + 1)
+        expected = run_pidf(read_csv(small))
+        assert [r.mi for r in run_pidf(data).results] == [r.mi for r in expected.results]
+
     def test_missing_target_column(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b\n0,1\n")

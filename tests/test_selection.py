@@ -1,5 +1,7 @@
 """Two-phase minimal-subset selection and confusion counting."""
 
+import dataclasses
+
 import pytest
 
 from pidf import (
@@ -192,14 +194,23 @@ class TestFrozenSelections:
         assert conf.fn == 0
 
 
+def selection_of(selected, n_features):
+    return SelectionResult(
+        selected=FeatureSubset(selected),
+        phase1=FeatureSubset(selected),
+        rationales=("",) * n_features,
+        n_features=n_features,
+    )
+
+
 class TestConfusionCounts:
     def test_basic(self):
-        conf = confusion_counts(FeatureSubset.of(0, 2), (0, 1), n_features=4)
+        conf = confusion_counts(selection_of((0, 2), 4), (0, 1))
         assert conf == Confusion(tp=1, fp=1, tn=1, fn=1)
         assert conf.as_tuple == (1, 1, 1, 1)
 
     def test_accepts_iterables(self):
-        conf = confusion_counts([0, 1], {0, 1}, n_features=3)
+        conf = confusion_counts(selection_of([0, 1], 3), {0, 1})
         assert conf.as_tuple == (2, 0, 1, 0)
 
     def test_selection_result_carries_n(self):
@@ -212,13 +223,9 @@ class TestConfusionCounts:
         conf = confusion_counts(sel, FeatureSubset.of(0, 1))
         assert conf.as_tuple == (1, 0, 1, 1)
 
-    def test_missing_n(self):
-        with pytest.raises(ConfigError):
-            confusion_counts(FeatureSubset.of(0), FeatureSubset.of(0))
-
     def test_out_of_range(self):
         with pytest.raises(ConfigError):
-            confusion_counts(FeatureSubset.of(5), FeatureSubset.of(0), n_features=3)
+            confusion_counts(selection_of((5,), 3), FeatureSubset.of(0))
 
 
 class TestCustomThresholds:
@@ -237,5 +244,5 @@ class TestCustomThresholds:
         )
         other = make_result(1, mi=0.0, n=2)
         report = make_report([result, other])
-        assert 0 in select_features(report, alpha=0.05).phase1
-        assert 0 not in select_features(report, alpha=0.01).phase1
+        assert 0 in select_features(report).phase1
+        assert 0 not in select_features(dataclasses.replace(report, alpha=0.01)).phase1
