@@ -237,6 +237,8 @@ def _dense(code: np.ndarray, span: int) -> tuple[np.ndarray, int]:
         present[code] = True
         rank = np.cumsum(present) - 1
         return rank[code], int(rank[-1]) + 1
+    # Narrow codes sort faster.
+    code = code.astype(np.min_scalar_type(-span), copy=False)
     distinct, rank = np.unique(code, return_inverse=True)
     return rank, distinct.shape[0]
 
@@ -246,11 +248,12 @@ def _code_counts(code: np.ndarray, span: int, weights: np.ndarray | None,
     """How many of the n rows hold each code in [0, span); absent codes may
     count 0. Each given code stands for weights of the rows, or for one row
     when weights is None."""
-    # Counted by marking below span = 4n and by sorting above, as in _dense.
-    # Weighted codes compare the span with n, not with their own number: on
-    # 20,000 rows, marking still wins at a fifth of them.
+    # Counted by marking below span = 4n and by sorting narrowed codes above,
+    # as in _dense. Weighted codes compare the span with n, not with their
+    # own number: on 20,000 rows, marking still wins at a fifth of them.
     if span <= 4 * n:
         return np.bincount(code, weights)
+    code = code.astype(np.min_scalar_type(-span), copy=False)
     if weights is None:
         return np.unique(code, return_counts=True)[1]
     return np.bincount(np.unique(code, return_inverse=True)[1], weights)
@@ -318,6 +321,9 @@ _TABLE_EXACT = (1 << 24) - 1
 # 0.20, 1.15x at 0.37, 1.02x at 0.46 and 0.94x at 0.58; at n = 1e5, 1.31x
 # at 0.31 and 1.00x at 0.51.
 _DISTINCT_SHARE = 0.4
+# A float64 product codes rows exactly while its codes, and so every partial
+# sum of weighted digits, are integers below this bound.
+_PRODUCT_SPAN = 1 << 53
 
 
 def _pair_counts(digits: Sequence[np.ndarray], radices: Sequence[int],
@@ -353,18 +359,20 @@ class _PluginTable:
     so far.
 
     The covered columns are every column under Binned and the discrete ones
-    under exact; no estimate reads any other. One fold of them all finds
-    the distinct rows and gives the entropy of their joint. While the
-    distinct rows are few (_DISTINCT_SHARE), the table keeps one row per
-    distinct state, weighted by how many rows hold it, and every later
-    fold, count and count table works on those rows. A group's counts are
-    then the weights summed per group code: the same multiset as counting
-    all the rows.
+    under exact; no estimate reads any other. One code of them all
+    (_code_all) finds the distinct rows and gives the entropy of their
+    joint. While the distinct rows are few (_DISTINCT_SHARE), the table
+    keeps one row per distinct state, weighted by how many rows hold it,
+    and every later code, count and count table works on those rows. A
+    group's counts are then the weights summed per group code: the same
+    multiset as counting all the rows.
 
     Singletons and pairs of columns of small radix read their row counts
     from one count table of indicator products (see _pair_counts), built on
     the first such request while the indicators stay within _TABLE_WIDTH
-    rows. Every other group folds its rows into codes and counts them.
+    rows. A group that lacks few covered columns is coded from the code of
+    them all (_complement). Every other group folds its rows into codes and
+    counts them.
 
     A group's entropy depends only on the sorted multiset of its row
     counts, never on column order or on how rows are kept, coded or
@@ -380,18 +388,24 @@ class _PluginTable:
         # Column id -> its indicator rows in _counts; None until built.
         self._rows: dict[int, slice] | None = None
         self._counts: np.ndarray | None = None
+        # Column id -> its digits on the kept rows and their radix, one more
+        # than the largest.
+        self._digits: dict[int, tuple[np.ndarray, int]] = {}
+        # How many rows each kept row stands for; None while all are kept.
+        self._weights: np.ndarray | None = None
+        # The code of every covered column on the kept rows and its bound,
+        # with each column's place value and largest weighted digit in it;
+        # None where one product cannot hold the code.
+        self._full: np.ndarray | None = None
+        self._span = 1
+        self._places: dict[int, tuple[int, int]] = {}
         # exact covers only discrete columns: a continuous one cast to digits
         # can have a huge or negative maximum.
         binned = isinstance(kind, Binned)
         covered = tuple(i for i in range(_TARGET_ID, data.n_features)
                         if binned or _kinds(data, (i,))[0].is_discrete)
-        # Column id -> its digits on the kept rows and their radix, one more
-        # than the largest.
-        self._digits = {i: self._digitize(i) for i in covered}
-        # How many rows each kept row stands for; None while all are kept.
-        self._weights: np.ndarray | None = None
         if covered:
-            self._keep_distinct_rows(covered)
+            self._code_all(covered)
 
     def mi(self, left: tuple[int, ...], right: tuple[int, ...]) -> float:
         columns = {*left, *right}
@@ -419,13 +433,16 @@ class _PluginTable:
             if self._tabled(ids):
                 block = self._counts[self._rows[ids[0]], self._rows[ids[-1]]]
                 self._remember(ids, np.diagonal(block) if len(ids) == 1 else block)
+            elif self._near_full(ids):
+                self._complement(ids)
             else:
                 self._code(ids, [self._digits[i] for i in ids])
         return self._entropies[ids]
 
     def _known(self, ids: tuple[int, ...]) -> bool:
-        """Whether H(ids) is remembered or read without folding."""
-        return ids in self._entropies or self._tabled(ids)
+        """Whether H(ids) is remembered or comes without folding: from the
+        count table or by complement."""
+        return ids in self._entropies or self._tabled(ids) or self._near_full(ids)
 
     def _tabled(self, ids: tuple[int, ...]) -> bool:
         """Whether the count table holds group ids; builds it on the first
@@ -436,6 +453,11 @@ class _PluginTable:
             self._build_table()
         return ids[0] in self._rows and ids[-1] in self._rows
 
+    def _near_full(self, ids: tuple[int, ...]) -> bool:
+        """Whether group ids is coded from the code of every covered column:
+        where that subtracts fewer columns than folding ids would fold."""
+        return self._full is not None and len(self._places) - len(ids) < len(ids) - 1
+
     def _build_table(self) -> None:
         radices = {i: r for i, (_, r) in self._digits.items() if r <= _TABLE_RADIX}
         self._rows = {}
@@ -445,21 +467,94 @@ class _PluginTable:
             self._counts = _pair_counts([self._digits[i][0] for i in radices],
                                         list(radices.values()), self._weights)
 
-    def _keep_distinct_rows(self, covered: tuple[int, ...]) -> None:
-        """Fold the covered columns, remember their joint's entropy and,
-        while few rows are distinct, keep one row of each distinct state."""
-        n = self.data.n_samples
-        code, span = _fold_rows([self._digits[i] for i in covered], n)
+    def _code_all(self, covered: tuple[int, ...]) -> None:
+        """Code every row of the covered columns, remember their joint's
+        entropy and, while few rows are distinct, keep one row of each
+        distinct state; then take each column's digits on the kept rows.
+
+        A discrete column's values are weighted as they are, by place values
+        from the declared cardinalities, in one float64 product with the
+        feature matrix: every partial sum is an integer below _PRODUCT_SPAN,
+        so the product is exact under any BLAS blocking. Columns binned or
+        past that budget get their digits first (_digitize). Columns past
+        the budget of the ones before them go into further products, and
+        _fold_rows combines their codes.
+        """
+        data, n = self.data, self.data.n_samples
+        # Column id -> its digits on all rows, where its values cannot be
+        # weighted as they are.
+        ready, radices = {}, {}
+        for i in covered:
+            kind = _kinds(data, (i,))[0]
+            if kind.is_discrete and kind.cardinality <= _PRODUCT_SPAN:
+                radices[i] = kind.cardinality
+            else:
+                ready[i] = self._digitize(i)
+                radices[i] = ready[i][1]
+        parts, span = [[]], 1
+        for i in covered:
+            if span * radices[i] > _PRODUCT_SPAN:
+                parts.append([])
+                span = 1
+            parts[-1].append(i)
+            span *= radices[i]
+        codes = [self._product(part, radices, ready) for part in parts]
+        if len(codes) == 1:
+            code, span, self._places = codes[0]
+        else:
+            code, span = _fold_rows([(code, span) for code, span, _ in codes], n)
         rank, distinct = _dense(code, span)
         weights = np.bincount(rank)
         self._remember(covered, weights)
+        kept = slice(None)  # every row
         if distinct <= _DISTINCT_SHARE * n:
             # Rows of one rank hold the same digits, so any of them will do.
             kept = np.empty(distinct, dtype=np.intp)
             kept[rank] = np.arange(n)
             self._weights = weights
-            self._digits = {i: (digits[kept], radix)
-                            for i, (digits, radix) in self._digits.items()}
+        if self._places:
+            self._full, self._span = code[kept], span
+        # Kept, every distinct state is there, so each radix is the one of
+        # all the rows.
+        features, target = data.features[kept], data.target[kept]
+        for i in covered:
+            if i in ready:
+                digits, radix = ready[i]
+                self._digits[i] = digits[kept], radix
+            else:
+                self._digits[i] = _narrow(target if i == _TARGET_ID else features[:, i])
+
+    def _product(self, part: list[int], radices: dict[int, int],
+                 ready: dict[int, tuple[np.ndarray, int]]
+                 ) -> tuple[np.ndarray, int, dict[int, tuple[int, int]]]:
+        """Code every row of the part's columns in mixed radix, first column
+        most significant. Returns the codes, their bound and each column's
+        place value and largest weighted digit."""
+        data = self.data
+        places, span = {}, 1
+        for i in reversed(part):
+            places[i] = span, span * (radices[i] - 1)
+            span *= radices[i]
+        weights = np.zeros(data.n_features)
+        for i in places.keys() - ready.keys() - {_TARGET_ID}:
+            weights[i] = places[i][0]
+        code = data.features @ weights
+        if _TARGET_ID in places and _TARGET_ID not in ready:
+            code += data.target * places[_TARGET_ID][0]
+        code = code.astype(np.int64)
+        for i in places.keys() & ready.keys():
+            code += ready[i][0] * np.int64(places[i][0])
+        return code, span, places
+
+    def _complement(self, ids: tuple[int, ...]) -> None:
+        """Code group ids as the code of every covered column less the
+        weighted digits of the columns it lacks; remember its entropy."""
+        code, span = self._full, self._span
+        for i in self._places.keys() - set(ids):
+            place, top = self._places[i]
+            code = code - self._digits[i][0] * np.int64(place)
+            span -= top
+        self._remember(ids, _code_counts(code, span, self._weights, self.data.n_samples))
 
     def _code(self, ids: tuple[int, ...],
               columns: list[tuple[np.ndarray, int]]) -> tuple[np.ndarray, int]:
@@ -483,13 +578,21 @@ class _PluginTable:
         self._entropies[ids] = max(0.0, math.log(n) - float(counts @ np.log(counts)) / n)
 
     def _digitize(self, col_id: int) -> tuple[np.ndarray, int]:
-        """The column's digits on all rows, and their radix."""
+        """The digits on all rows, and their radix, of a column that the
+        product cannot weight as it is: its bins under Binned, or the ranks
+        of its distinct values where its cardinality passes _PRODUCT_SPAN."""
         col = _columns(self.data, (col_id,))[0]
-        if isinstance(self.kind, Binned):
-            col = _bin_column(col, _kinds(self.data, (col_id,))[0], self.kind.bins)
-        radix = int(col.max()) + 1
-        # The narrowest signed type that holds every digit.
-        return col.astype(np.min_scalar_type(-radix)), radix
+        kind = _kinds(self.data, (col_id,))[0]
+        if not kind.is_discrete:
+            return _narrow(_bin_column(col, kind, self.kind.bins))
+        return _narrow(np.unique(col, return_inverse=True)[1])
+
+
+def _narrow(col: np.ndarray) -> tuple[np.ndarray, int]:
+    """A column of non-negative integers as digits of the narrowest signed
+    type that holds them, and their radix, one more than the largest."""
+    radix = int(col.max()) + 1
+    return col.astype(np.min_scalar_type(-radix)), radix
 
 
 def subsample_rows(n: int, fraction: float, rep_seed: int) -> np.ndarray:
@@ -732,15 +835,31 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# Whether this process is one of several workers that together fill the
+# usable CPUs (see one_repetition_thread).
+_shares_cpus = False
+
+
 @cache
 def _pool():
     """The pool that runs the repetitions of ksg and mine estimates, one
-    thread per usable CPU. cKDTree and numpy's array kernels release the
-    GIL. Made on first use: importing concurrent.futures adds about 8 ms to
+    thread per usable CPU, or one thread in a process that shares the CPUs
+    with other workers. cKDTree and numpy's array kernels release the GIL.
+    Made on first use: importing concurrent.futures adds about 8 ms to
     importing this module."""
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(usable_cpus(), thread_name_prefix="pidf-rep")
+    threads = 1 if _shares_cpus else usable_cpus()
+    return ThreadPoolExecutor(threads, thread_name_prefix="pidf-rep")
+
+
+def one_repetition_thread() -> None:
+    """Run this process's repetitions one after another: it is one of
+    several worker processes that already fill every usable CPU, and more
+    threads per worker would only contend for them."""
+    global _shares_cpus
+    _shares_cpus = True
+    _pool.cache_clear()
 
 
 if hasattr(os, "register_at_fork"):

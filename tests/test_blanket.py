@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from pidf import ColumnKind, Dataset, datasets, population_table, run_pidf, select_features
+from pidf.datasets import duplicate_feature
 from pidf.oracle import _TARGET_KEY, TOLERANCE, ExactOracle, _power_set
 
 from instances import random_population_instance
@@ -36,6 +37,16 @@ INSTANCE_SEEDS = range(60)
 # noisy copy rather than one of its four exact copies; the others keep a
 # feature that carries no information about the target.
 INSTANCE_MISSES = {3, 23, 36, 39, 41, 46}
+
+# (seed, copied feature) of the instances whose selection with that exact
+# copy appended is not a minimal blanket. With any feature of the sg table
+# copied, selection keeps neither that feature nor its copy; the terc tables
+# under pair miss with a copy as without one.
+INSTANCE_COPY_MISSES = {
+    (3, 0), (3, 1), (3, 3), (3, 4), (20, 0), (20, 4), (23, 0), (23, 1), (23, 2),
+    (36, 0), (36, 1), (36, 2), (39, 0), (39, 1), (39, 2), (39, 3), (41, 0), (41, 1),
+    (46, 0),
+}
 
 
 def is_blanket(oracle: ExactOracle, n_features: int, subset: frozenset) -> bool:
@@ -135,4 +146,38 @@ def _instance_cases():
 @pytest.mark.parametrize("seed,bits", _instance_cases())
 def test_instance_selection_is_a_minimal_blanket(seed, bits):
     data = with_fair_bits(random_population_instance(seed), bits)
+    assert is_minimal_blanket(data, selected(data))
+
+
+def _copy_cases():
+    for rule in datasets.TERC_RULES:
+        for dataset_id in DISCRETE_IDS:
+            marks = ()
+            if dataset_id == "sg":
+                marks = pytest.mark.xfail(reason="selection drops the copied feature and its copy")
+            elif rule == "pair" and dataset_id in PAIR_BLANKETS:
+                marks = pytest.mark.xfail(reason="selection keeps the all_equal truth")
+            for index in range(population_table(dataset_id, rule).n_features):
+                yield pytest.param(dataset_id, rule, index, marks=marks,
+                                   id=f"{dataset_id}-{rule}-copy{index}")
+
+
+@pytest.mark.parametrize("dataset_id,terc_rule,index", _copy_cases())
+def test_selection_with_a_copy_is_a_minimal_blanket(dataset_id, terc_rule, index):
+    data = duplicate_feature(population_table(dataset_id, terc_rule), index)
+    assert is_minimal_blanket(data, selected(data))
+
+
+def _instance_copy_cases():
+    for seed in INSTANCE_SEEDS:
+        for index in range(random_population_instance(seed).n_features):
+            marks = ()
+            if (seed, index) in INSTANCE_COPY_MISSES:
+                marks = pytest.mark.xfail(reason="measured miss, see INSTANCE_COPY_MISSES")
+            yield pytest.param(seed, index, marks=marks, id=f"seed{seed}-copy{index}")
+
+
+@pytest.mark.parametrize("seed,index", _instance_copy_cases())
+def test_instance_selection_with_a_copy_is_a_minimal_blanket(seed, index):
+    data = duplicate_feature(random_population_instance(seed), index)
     assert is_minimal_blanket(data, selected(data))

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from pidf import PidfReport, SubsetCapError, cli, population_table, render_json
+from pidf import PidfReport, SubsetCapError, cli, estimators, population_table, render_json
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +206,11 @@ def bench_in_child(argv, one_cpu):
     return int(code), proc.stdout, int(forks)
 
 
+def repetition_threads(_):
+    """The thread count of this process's repetition pool."""
+    return estimators._pool()._max_workers
+
+
 class TestBench:
     def test_small_run_passes(self, capsys):
         code, out, _ = run_cli(
@@ -229,6 +234,15 @@ class TestBench:
         workers = min(cli.usable_cpus(), 9)
         assert pool[::2] == (0, workers if workers > 1 else 0)
         assert pool[1].count(" ok\n") == 9
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or cli.usable_cpus() < 2,
+                        reason="needs fork and 2 usable CPUs")
+    def test_workers_run_repetitions_on_one_thread(self):
+        # The workers already fill every usable CPU; this process keeps one
+        # repetition thread per CPU.
+        with cli._task_map(2) as task_map:
+            assert list(task_map(repetition_threads, range(2))) == [1, 1]
+        assert repetition_threads(None) == cli.usable_cpus()
 
     def test_estimator_error_in_a_run(self, capsys):
         code, out, err = run_cli(

@@ -429,6 +429,46 @@ def bound_tables(draw):
     return data, width
 
 
+# Declared cardinalities: small ones, large ones whose span passes 2**53
+# with one or two others, and ones past 2**53, whose values are ranked.
+ONE_PASS_CARDINALITIES = (1, 2, 3, 4, 6, 300, 2**20, 2**31 + 1, 2**53, 2**53 + 1,
+                          2**63 + 1)
+
+
+@st.composite
+def one_pass_tables(draw):
+    """A target and 1 to 5 features, each discrete or, one time in six,
+    continuous with ties. A discrete column's values lie below a bound
+    drawn up to its declared cardinality, so the cardinality may pass its
+    largest value. The rows repeat 1 to 12 distinct ones, so their distinct
+    share falls on either side of _DISTINCT_SHARE."""
+    cols = draw(st.integers(min_value=2, max_value=6))
+    distinct = draw(st.integers(min_value=1, max_value=12))
+    rows = draw(st.integers(min_value=distinct, max_value=60))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    table, kinds = [], []
+    for _ in range(cols):
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            table.append(rng.integers(0, 6, size=distinct)
+                         + rng.choice((0.0, 0.25, 0.5), size=distinct))
+            kinds.append(ColumnKind.continuous())
+            continue
+        cardinality = draw(st.sampled_from(ONE_PASS_CARDINALITIES))
+        bound = draw(st.integers(min_value=1, max_value=cardinality))
+        values = st.integers(min_value=0, max_value=bound - 1)
+        table.append(np.array(draw(st.lists(values, min_size=distinct, max_size=distinct)),
+                              dtype=np.float64))
+        kinds.append(ColumnKind.discrete(cardinality))
+    table = np.column_stack(table)[rng.integers(0, distinct, size=rows)]
+    return Dataset(
+        feature_names=tuple(f"f{i}" for i in range(cols - 1)),
+        features=table[:, 1:],
+        target=table[:, 0],
+        kinds=tuple(kinds[1:]),
+        target_kind=kinds[0],
+    )
+
+
 class TestPluginTable:
     """exact and binned estimates read each column group's entropy from one
     per-dataset store, with the bytes of coding every estimate afresh."""
@@ -473,12 +513,17 @@ class TestPluginTable:
     def test_run_folds_each_joint_from_a_side(self, monkeypatch):
         from test_plugin_pins import binary_table
 
-        coded, folded = [], []
+        coded, complements, folded = [], [], []
         real_code, real_fold = estimators._PluginTable._code, estimators._fold_rows
+        real_complement = estimators._PluginTable._complement
 
         def code(self, ids, columns):
             coded.append(ids)
             return real_code(self, ids, columns)
+
+        def complement(self, ids):
+            complements.append(ids)
+            return real_complement(self, ids)
 
         def fold(columns, n):
             code, span = real_fold(columns, n)
@@ -486,19 +531,71 @@ class TestPluginTable:
             return code, span
 
         monkeypatch.setattr(estimators._PluginTable, "_code", code)
+        monkeypatch.setattr(estimators._PluginTable, "_complement", complement)
         monkeypatch.setattr(estimators, "_fold_rows", fold)
-        run_pidf(binary_table(20000, 12, 1))
-        # The table folds all 13 columns once to find the distinct rows, and
+        data = binary_table(20000, 12, 1)
+        run_pidf(data)
+        # One product codes all 13 columns to find the distinct rows, and
         # remembers H of their joint. Singletons and pairs come from the
-        # count table; only the other 29 wider groups fold, each joint of a
-        # new side from that side's codes.
-        assert len(coded) == 29 and len(folded) == 30
-        assert all(len(ids) > 2 for ids in coded)
-        assert folded[0][0] == 13
-        assert sum(width for width, _, _ in folded) == 205
+        # count table; the other 29 groups each lack at most 3 of the 13
+        # columns, so each is coded from the product's code: none folds.
+        assert len(complements) == 29 and all(len(ids) >= 10 for ids in complements)
+        assert coded == [] and folded == []
+        # A narrow new side folds, and its joint folds from the side's codes
+        # and the other side's column: 3 columns, then 2.
+        estimate_mi(data, F(0, 1, 2), TARGET, exact_cfg())
+        assert coded == [(0, 1, 2), (-1, 0, 1, 2)]
+        assert [width for width, _, _ in folded] == [3, 2]
         # Each code has the narrowest signed type that holds its span.
         assert all(dtype == np.min_scalar_type(-span) for _, dtype, span in folded)
-        assert {dtype.name for _, dtype, _ in folded} == {"int16"}
+        assert {dtype.name for _, dtype, _ in folded} == {"int8"}
+
+    @given(one_pass_tables(), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_one_pass_entropies_match_row_unique(self, data, random):
+        # Every group of covered columns, in any order: from the count
+        # table, coded by complement from the one-pass code (or folded where
+        # the span passes 2**53), or folded. exact leaves continuous columns
+        # uncovered; Binned covers them.
+        for kind in (ExactDiscrete(), Binned(bins=3)):
+            store = estimators._PluginTable(data, kind)
+            covered = sorted(store._digits)
+            groups = [ids for width in range(1, len(covered) + 1)
+                      for ids in itertools.combinations(covered, width)]
+            random.shuffle(groups)
+            for ids in groups:
+                columns = [column for i in ids for column in
+                           plugin_columns(data, kind, TARGET if i == -1 else F(i))]
+                counts = np.unique(np.column_stack(columns), axis=0, return_counts=True)[1]
+                store._remember(("unique",), counts)
+                expected = store._entropies.pop(("unique",))
+                assert store.entropy(ids).hex() == expected.hex(), (kind, ids)
+            assert all(np.issubdtype(digits.dtype, np.signedinteger)
+                       for digits, _ in store._digits.values())
+
+    def test_values_past_the_product_budget_are_ranked_first(self):
+        # A discrete column of values {0, 2**63} has the entropies of one of
+        # {0, 1}, and integer digits, not Python objects.
+        rng = np.random.default_rng(8)
+        bits = rng.integers(0, 2, size=(2000, 3)).astype(np.float64)
+
+        def table(scale, cardinality):
+            return Dataset(
+                feature_names=("f0", "f1"),
+                features=bits[:, 1:] * [scale, 1.0],
+                target=bits[:, 0],
+                kinds=(ColumnKind.discrete(cardinality), ColumnKind.discrete(2)),
+                target_kind=ColumnKind.discrete(2),
+            )
+
+        small, huge = table(1.0, 2), table(2.0**63, 2**63 + 1)
+        cfg = exact_cfg()
+        for left, right in group_pairs(2):
+            assert estimate_mi(huge, left, right, cfg).estimates[0].hex() == \
+                estimate_mi(small, left, right, cfg).estimates[0].hex()
+        store = estimators._prepared(huge, ExactDiscrete())
+        assert all(np.issubdtype(digits.dtype, np.integer)
+                   for digits, _ in store._digits.values())
 
     def test_other_bins_get_a_fresh_store(self):
         data = gaussian_pair(0.8, 2000)
@@ -512,30 +609,30 @@ class TestPluginTable:
         assert four != eight
 
     def test_another_dataset_gets_a_fresh_store(self, monkeypatch):
-        tables, folded = [], []
-        real_counts, real_fold = estimators._pair_counts, estimators._fold_rows
+        tables, built = [], []
+        real_counts, real_build = estimators._pair_counts, estimators._PluginTable._code_all
 
         def counts(digits, radices, weights):
             tables.append(len(digits))
             return real_counts(digits, radices, weights)
 
-        def fold(columns, n):
-            folded.append(len(columns))
-            return real_fold(columns, n)
+        def build(self, covered):
+            built.append(len(covered))
+            return real_build(self, covered)
 
         monkeypatch.setattr(estimators, "_pair_counts", counts)
-        monkeypatch.setattr(estimators, "_fold_rows", fold)
+        monkeypatch.setattr(estimators._PluginTable, "_code_all", build)
         first = random_dataset(11)
         twin = Dataset(
             feature_names=first.feature_names, features=first.features,
             target=first.target, kinds=first.kinds, target_kind=first.target_kind,
         )
         cfg = exact_cfg()
-        # Each store folds its two columns once, to find the distinct rows.
+        # Each store codes its two columns once, to find the distinct rows.
         value = estimate_mi(first, F(0), TARGET, cfg).estimates[0]
-        assert tables == [2] and folded == [2]
+        assert tables == [2] and built == [2]
         assert estimate_mi(twin, F(0), TARGET, cfg).estimates[0] == value
-        assert tables == [2, 2] and folded == [2, 2]
+        assert tables == [2, 2] and built == [2, 2]
         # Datasets made and dropped one after another never read each
         # other's entropies, whatever identities they get.
         for seed in range(20):
