@@ -14,7 +14,6 @@ that died), 5 exhaustive-search cap or oracle-unsupported input.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from contextlib import contextmanager
@@ -414,20 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_log = logging.getLogger("pidf")
-
-
-def _setup_logging() -> None:
-    """PIDF_LOG sets verbosity (debug/info/warning/error); default warning."""
-    level = os.environ.get("PIDF_LOG", "warning").upper()
-    if level not in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"):
-        level = "WARNING"
-    logging.basicConfig(level=getattr(logging, level), stream=sys.stderr,
-                        format="%(name)s %(levelname)s %(message)s")
-
-
 def main(argv=None) -> int:
-    _setup_logging()
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
@@ -435,7 +421,6 @@ def main(argv=None) -> int:
             commands = next(a for a in parser._actions if a.dest == "command").choices
             _use_config_file(commands[args.command], args.config)
             args = parser.parse_args(argv)
-        _log.debug("dispatch %s", args.command)
         return args.func(args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

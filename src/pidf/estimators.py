@@ -367,12 +367,12 @@ class _PluginTable:
     group's counts are then the weights summed per group code: the same
     multiset as counting all the rows.
 
-    Singletons and pairs of columns of small radix read their row counts
-    from one count table of indicator products (see _pair_counts), built on
-    the first such request while the indicators stay within _TABLE_WIDTH
-    rows. A group that lacks few covered columns is coded from the code of
-    them all (_complement). Every other group folds its rows into codes and
-    counts them.
+    How a group is coded depends on its width alone. Singletons and pairs
+    of columns of small radix read their row counts from one count table of
+    indicator products (see _pair_counts), built on the first such request
+    while the indicators stay within _TABLE_WIDTH rows. A group that lacks
+    fewer covered columns than it would fold is coded from the products of
+    them all (_complement). Every other group folds its own columns.
 
     A group's entropy depends only on the sorted multiset of its row
     counts, never on column order or on how rows are kept, coded or
@@ -393,12 +393,9 @@ class _PluginTable:
         self._digits: dict[int, tuple[np.ndarray, int]] = {}
         # How many rows each kept row stands for; None while all are kept.
         self._weights: np.ndarray | None = None
-        # The code of every covered column on the kept rows and its bound,
-        # with each column's place value and largest weighted digit in it;
-        # None where one product cannot hold the code.
-        self._full: np.ndarray | None = None
-        self._span = 1
-        self._places: dict[int, tuple[int, int]] = {}
+        # Each product's code on the kept rows and its bound, with each of
+        # its columns' place value and largest weighted digit in it.
+        self._parts: list[tuple[np.ndarray, int, dict[int, tuple[int, int]]]] = []
         # exact covers only discrete columns: a continuous one cast to digits
         # can have a huge or negative maximum.
         binned = isinstance(kind, Binned)
@@ -417,14 +414,6 @@ class _PluginTable:
             )
         # I(G;G) keys its joint as G itself, so it stays H(G).
         joint = tuple(sorted(columns))
-        fresh = [ids for ids in (left, right) if not self._known(ids)]
-        if fresh and not self._known(joint) and left != right:
-            # The joint folds from a side coded now, the wider one if both
-            # are: I(Y; S) folds S and then one more column, not S twice.
-            side = max(fresh, key=len)
-            other = right if side is left else left
-            coded = self._code(side, [self._digits[i] for i in side])
-            self._code(joint, [coded, *(self._digits[i] for i in other)])
         return max(0.0, self.entropy(left) + self.entropy(right) - self.entropy(joint))
 
     def entropy(self, ids: tuple[int, ...]) -> float:
@@ -433,16 +422,14 @@ class _PluginTable:
             if self._tabled(ids):
                 block = self._counts[self._rows[ids[0]], self._rows[ids[-1]]]
                 self._remember(ids, np.diagonal(block) if len(ids) == 1 else block)
-            elif self._near_full(ids):
-                self._complement(ids)
             else:
-                self._code(ids, [self._digits[i] for i in ids])
+                columns = (self._complement(ids) if self._near_full(ids)
+                           else [self._digits[i] for i in ids])
+                n = self.data.n_samples
+                rows = n if self._weights is None else self._weights.shape[0]
+                code, span = _fold_rows(columns, rows)
+                self._remember(ids, _code_counts(code, span, self._weights, n))
         return self._entropies[ids]
-
-    def _known(self, ids: tuple[int, ...]) -> bool:
-        """Whether H(ids) is remembered or comes without folding: from the
-        count table or by complement."""
-        return ids in self._entropies or self._tabled(ids) or self._near_full(ids)
 
     def _tabled(self, ids: tuple[int, ...]) -> bool:
         """Whether the count table holds group ids; builds it on the first
@@ -454,9 +441,10 @@ class _PluginTable:
         return ids[0] in self._rows and ids[-1] in self._rows
 
     def _near_full(self, ids: tuple[int, ...]) -> bool:
-        """Whether group ids is coded from the code of every covered column:
-        where that subtracts fewer columns than folding ids would fold."""
-        return self._full is not None and len(self._places) - len(ids) < len(ids) - 1
+        """Whether group ids is coded from the products of every covered
+        column: where that subtracts fewer columns than folding ids would
+        fold."""
+        return len(self._digits) - len(ids) < len(ids) - 1
 
     def _build_table(self) -> None:
         radices = {i: r for i, (_, r) in self._digits.items() if r <= _TABLE_RADIX}
@@ -478,7 +466,8 @@ class _PluginTable:
         so the product is exact under any BLAS blocking. Columns binned or
         past that budget get their digits first (_digitize). Columns past
         the budget of the ones before them go into further products, and
-        _fold_rows combines their codes.
+        _fold_rows combines their codes. Each product's code stays, on the
+        kept rows, for _complement.
         """
         data, n = self.data, self.data.n_samples
         # Column id -> its digits on all rows, where its values cannot be
@@ -499,10 +488,7 @@ class _PluginTable:
             parts[-1].append(i)
             span *= radices[i]
         codes = [self._product(part, radices, ready) for part in parts]
-        if len(codes) == 1:
-            code, span, self._places = codes[0]
-        else:
-            code, span = _fold_rows([(code, span) for code, span, _ in codes], n)
+        code, span = _fold_rows([(code, span) for code, span, _ in codes], n)
         rank, distinct = _dense(code, span)
         weights = np.bincount(rank)
         self._remember(covered, weights)
@@ -512,8 +498,7 @@ class _PluginTable:
             kept = np.empty(distinct, dtype=np.intp)
             kept[rank] = np.arange(n)
             self._weights = weights
-        if self._places:
-            self._full, self._span = code[kept], span
+        self._parts = [(code[kept], span, places) for code, span, places in codes]
         # Kept, every distinct state is there, so each radix is the one of
         # all the rows.
         features, target = data.features[kept], data.target[kept]
@@ -546,26 +531,18 @@ class _PluginTable:
             code += ready[i][0] * np.int64(places[i][0])
         return code, span, places
 
-    def _complement(self, ids: tuple[int, ...]) -> None:
-        """Code group ids as the code of every covered column less the
-        weighted digits of the columns it lacks; remember its entropy."""
-        code, span = self._full, self._span
-        for i in self._places.keys() - set(ids):
-            place, top = self._places[i]
-            code = code - self._digits[i][0] * np.int64(place)
-            span -= top
-        self._remember(ids, _code_counts(code, span, self._weights, self.data.n_samples))
-
-    def _code(self, ids: tuple[int, ...],
-              columns: list[tuple[np.ndarray, int]]) -> tuple[np.ndarray, int]:
-        """Fold (digits, radix) columns that tell rows apart as group ids
-        does into kept-row codes; remember the group's entropy and return
-        the codes and their bound, a column to fold a joint from."""
-        n = self.data.n_samples
-        rows = n if self._weights is None else self._weights.shape[0]
-        code, span = _fold_rows(columns, rows)
-        self._remember(ids, _code_counts(code, span, self._weights, n))
-        return code, span
+    def _complement(self, ids: tuple[int, ...]) -> list[tuple[np.ndarray, int]]:
+        """Each product's code less the weighted digits of the columns group
+        ids lacks, and its bound: columns that tell rows apart as ids does."""
+        group = set(ids)
+        columns = []
+        for code, span, places in self._parts:
+            for i in places.keys() - group:
+                place, top = places[i]
+                code = code - self._digits[i][0] * np.int64(place)
+                span -= top
+            columns.append((code, span))
+        return columns
 
     def _remember(self, ids: tuple[int, ...], counts: np.ndarray) -> None:
         """Store H of group ids from its row counts, zeros allowed."""

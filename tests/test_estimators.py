@@ -484,7 +484,7 @@ class TestPluginTable:
     @settings(max_examples=200, deadline=None)
     def test_joint_from_a_side_at_code_widths(self, data, random):
         # Shuffled, a pair's sides are sometimes remembered from an earlier
-        # pair and sometimes coded afresh, with the joint folded from them.
+        # pair and sometimes coded afresh.
         pairs = list(group_pairs(data.n_features))
         random.shuffle(pairs)
         for kind in (ExactDiscrete(), Binned(bins=3)):
@@ -510,16 +510,12 @@ class TestPluginTable:
         assert len(stored) == 121
         assert len(set(stored)) == 121
 
-    def test_run_folds_each_joint_from_a_side(self, monkeypatch):
+    def test_run_codes_each_group_by_its_width(self, monkeypatch):
         from test_plugin_pins import binary_table
 
-        coded, complements, folded = [], [], []
-        real_code, real_fold = estimators._PluginTable._code, estimators._fold_rows
+        complements, folded = [], []
+        real_fold = estimators._fold_rows
         real_complement = estimators._PluginTable._complement
-
-        def code(self, ids, columns):
-            coded.append(ids)
-            return real_code(self, ids, columns)
 
         def complement(self, ids):
             complements.append(ids)
@@ -530,7 +526,6 @@ class TestPluginTable:
             folded.append((len(columns), code.dtype, span))
             return code, span
 
-        monkeypatch.setattr(estimators._PluginTable, "_code", code)
         monkeypatch.setattr(estimators._PluginTable, "_complement", complement)
         monkeypatch.setattr(estimators, "_fold_rows", fold)
         data = binary_table(20000, 12, 1)
@@ -538,25 +533,35 @@ class TestPluginTable:
         # One product codes all 13 columns to find the distinct rows, and
         # remembers H of their joint. Singletons and pairs come from the
         # count table; the other 29 groups each lack at most 3 of the 13
-        # columns, so each is coded from the product's code: none folds.
+        # columns, so each is coded from the product's code: no fold takes
+        # more than that one code.
         assert len(complements) == 29 and all(len(ids) >= 10 for ids in complements)
-        assert coded == [] and folded == []
-        # A narrow new side folds, and its joint folds from the side's codes
-        # and the other side's column: 3 columns, then 2.
+        assert [width for width, _, _ in folded] == [1] * 30
+        # A narrow group folds its own columns, and so does its joint with
+        # the target, not from the group's codes: 3 columns, then 4.
+        folded.clear()
         estimate_mi(data, F(0, 1, 2), TARGET, exact_cfg())
-        assert coded == [(0, 1, 2), (-1, 0, 1, 2)]
-        assert [width for width, _, _ in folded] == [3, 2]
+        assert [width for width, _, _ in folded] == [3, 4]
         # Each code has the narrowest signed type that holds its span.
         assert all(dtype == np.min_scalar_type(-span) for _, dtype, span in folded)
         assert {dtype.name for _, dtype, _ in folded} == {"int8"}
+        # Past a 2**53 span, the code of every column takes two products,
+        # and a wide group subtracts its missing columns from each of them:
+        # no fold takes more columns than there are products.
+        folded.clear()
+        wide = binary_table(3000, 60, 1)
+        run_pidf(wide)
+        products = len(estimators._prepared(wide, ExactDiscrete())._parts)
+        assert products == 2
+        assert max(width for width, _, _ in folded) <= products
 
     @given(one_pass_tables(), st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
     def test_one_pass_entropies_match_row_unique(self, data, random):
         # Every group of covered columns, in any order: from the count
-        # table, coded by complement from the one-pass code (or folded where
-        # the span passes 2**53), or folded. exact leaves continuous columns
-        # uncovered; Binned covers them.
+        # table, coded by complement from the one-pass products (two or more
+        # where the span passes 2**53), or folded. exact leaves continuous
+        # columns uncovered; Binned covers them.
         for kind in (ExactDiscrete(), Binned(bins=3)):
             store = estimators._PluginTable(data, kind)
             covered = sorted(store._digits)

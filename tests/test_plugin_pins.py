@@ -5,6 +5,7 @@ it codes rows, but never a single bit of what it returns."""
 import hashlib
 
 import numpy as np
+import pytest
 
 from pidf import (
     Binned,
@@ -30,6 +31,13 @@ BINNED_RUN_SHA256 = "097e8c7be7343061bd6e8c4cd93674b39ec3d52529650c7619cd175332c
 # distinct rows among 3,000, under binned.
 EXACT_DISTINCT_RUN_SHA256 = "9e0a3e88e2554e3e63f1dd4ef2324df6f15ce97073f5fd8f23030d85271c6d64"
 BINNED_REPEATED_RUN_SHA256 = "678595b99c75b853de036544b8c8655a41e22ecbfcc8bb769bf11a44ec923671"
+# Runs whose declared span, 2**62 and 2**58 (binary features and a 4-valued
+# target), passes the 2**53 of one exact float64 product, so the plug-in
+# table codes its rows in two products.
+EXACT_TWO_PRODUCT_RUN_SHA256 = {
+    (3000, 60, 1): "8bccb04f2c4e045b4eb309cccae6ba615236ef3e54ab7b0c626925a56881e9e7",
+    (2000, 56, 0): "cc891ccfccbd6adbf9600970e016ed119db5bc30051d5584f57ef20a2c5207b9",
+}
 
 
 def binary_table(n: int, p: int, seed: int) -> Dataset:
@@ -107,3 +115,8 @@ def test_exact_run_on_distinct_rows_json():
 def test_binned_run_on_repeated_rows_json():
     cfg = EstimatorConfig(kind=Binned(bins=2), repetitions=5)
     assert run_sha256(gaussian_table(3000, 3, 6), cfg) == BINNED_REPEATED_RUN_SHA256
+
+
+@pytest.mark.parametrize("shape", sorted(EXACT_TWO_PRODUCT_RUN_SHA256))
+def test_exact_run_in_two_products_json(shape):
+    assert run_sha256(binary_table(*shape), exact_cfg()) == EXACT_TWO_PRODUCT_RUN_SHA256[shape]
