@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
-from . import datasets, estimators, oracle, report as report_mod
+from . import datasets, oracle, report as report_mod
 from .estimators import KINDS, EstimatorConfig, ExactDiscrete, estimate_mi, usable_cpus
 from .pidf import DEFAULT_ALPHA, DEFAULT_EPS_ZERO, default_config, run_pidf
 from .selection import confusion_counts, select_features
@@ -221,10 +221,7 @@ def _task_map(calls: int):
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    # The workers fill every usable CPU, so each runs its repetitions on one
-    # thread.
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=estimators.one_repetition_thread)
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         yield pool.map
     except BrokenProcessPool as err:

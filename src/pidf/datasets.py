@@ -28,6 +28,7 @@ from .types import (
     DatasetError,
     FeatureSubset,
     philox,
+    require_integer,
 )
 
 DATASET_IDS = (
@@ -75,6 +76,8 @@ class GeneratorSpec:
 
     def __post_init__(self) -> None:
         _require_known(self.dataset, DATASET_IDS, "dataset id")
+        for name in ("n_samples", "seed"):
+            object.__setattr__(self, name, require_integer(getattr(self, name), name))
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
         _require_known(self.terc_rule, TERC_RULES, "terc rule")

@@ -29,6 +29,7 @@ from .types import (
     FeatureSubset,
     _TargetMarker,
     philox,
+    require_integer,
 )
 
 _TARGET_ID = -1
@@ -70,6 +71,7 @@ class Binned:
     bins: int = 8
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "bins", require_integer(self.bins, "bins"))
         if self.bins < 2:
             raise ConfigError("binned estimator needs at least 2 bins")
 
@@ -88,6 +90,7 @@ class Ksg:
     jitter: float = 1e-9
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", require_integer(self.k, "k"))
         if self.k < 1:
             raise ConfigError("ksg estimator needs k >= 1")
         if not 0.0 < self.subsample <= 1.0:
@@ -109,6 +112,8 @@ class MineConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
+        for name in ("batch_size", "iterations", "hidden"):
+            object.__setattr__(self, name, require_integer(getattr(self, name), name))
         if self.batch_size < 1:
             raise ConfigError("mine batch size must be >= 1")
         if self.iterations < 0:
@@ -142,6 +147,8 @@ class EstimatorConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("repetitions", "base_seed"):
+            object.__setattr__(self, name, require_integer(getattr(self, name), name))
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         if type(self.kind) not in _KIND_NAMES:
@@ -812,31 +819,18 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Whether this process is one of several workers that together fill the
-# usable CPUs (see one_repetition_thread).
-_shares_cpus = False
-
-
 @cache
 def _pool():
-    """The pool that runs the repetitions of ksg and mine estimates, one
-    thread per usable CPU, or one thread in a process that shares the CPUs
-    with other workers. cKDTree and numpy's array kernels release the GIL.
-    Made on first use: importing concurrent.futures adds about 8 ms to
-    importing this module."""
+    """The pool that runs the repetitions of ksg and mine estimates: one
+    thread per usable CPU, or one thread in a multiprocessing child, whose
+    siblings already fill the CPUs. cKDTree and numpy's array kernels
+    release the GIL. Made on first use: importing concurrent.futures adds
+    about 8 ms to importing this module."""
+    import multiprocessing
     from concurrent.futures import ThreadPoolExecutor
 
-    threads = 1 if _shares_cpus else usable_cpus()
+    threads = 1 if multiprocessing.parent_process() else usable_cpus()
     return ThreadPoolExecutor(threads, thread_name_prefix="pidf-rep")
-
-
-def one_repetition_thread() -> None:
-    """Run this process's repetitions one after another: it is one of
-    several worker processes that already fill every usable CPU, and more
-    threads per worker would only contend for them."""
-    global _shares_cpus
-    _shares_cpus = True
-    _pool.cache_clear()
 
 
 if hasattr(os, "register_at_fork"):

@@ -12,7 +12,6 @@ deterministic and stochastic estimators share one significance rule.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable
 
 from .estimators import (
@@ -32,6 +31,7 @@ from .types import (
     FeatureSubset,
     PidfFeatureResult,
     PidfReport,
+    ThetaEvaluation,
     require_nonnegative,
     require_probability,
 )
@@ -131,36 +131,6 @@ def _with(ids: tuple[int, ...], *more: int) -> tuple[int, ...]:
     return tuple(sorted((*ids, *more)))
 
 
-@dataclass(frozen=True)
-class ThetaEvaluation:
-    """One candidate decision inside a feature's pass."""
-
-    feature: int
-    candidate: int
-    context: FeatureSubset
-    theta: EstimateEnsemble
-    redundant: bool
-
-    def __post_init__(self) -> None:
-        if self.feature in self.context or self.candidate in self.context:
-            raise ConfigError("evaluation context must exclude feature and candidate")
-
-
-@dataclass(frozen=True)
-class FeatureTrace:
-    """Audit record of one feature's pass."""
-
-    feature: int
-    candidate_order: tuple[int, ...]
-    evaluations: tuple[ThetaEvaluation, ...]
-    removed: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PidfTrace:
-    features: tuple[FeatureTrace, ...]
-
-
 def theta(
     data: Dataset,
     feature: int,
@@ -196,6 +166,14 @@ def theta(
     )
 
 
+def _fws(
+    joint: EstimateEnsemble, partners: EstimateEnsemble, alone: EstimateEnsemble
+) -> EstimateEnsemble:
+    """Synergy of a feature with a partner set: I(Y; feature, partners)
+    - I(Y; partners) - I(Y; feature), per seed."""
+    return EstimateEnsemble.linear([(1.0, joint), (-1.0, partners), (-1.0, alone)])
+
+
 def run_pidf(
     data: Dataset,
     cfg: EstimatorConfig | None = None,
@@ -204,8 +182,8 @@ def run_pidf(
 ) -> PidfReport:
     """Full decomposition pass over every feature.
 
-    Returns a PidfReport whose ``trace`` field carries the full audit trail
-    (candidate orders, every theta evaluation, removals applied).
+    Each feature's result also carries its pass: the candidate order and
+    every theta evaluation, removals included.
     """
     if cfg is None:
         cfg = default_config(data)
@@ -218,7 +196,6 @@ def run_pidf(
     n_features = data.n_features
     cache = MiCache(data, cfg)
     results = []
-    traces = []
     for i in range(n_features):
         name = data.feature_names[i]
         try:
@@ -232,8 +209,6 @@ def run_pidf(
         )
         surviving = [j for j in range(n_features) if j != i]
         evaluations = []
-        removed = []
-        contributions = []
         for j in order:
             if j not in related:
                 continue
@@ -245,43 +220,30 @@ def run_pidf(
                     f"feature {name!r}, candidate {data.feature_names[j]!r}: {err}"
                 ) from err
             verdict = is_redundant(th, alpha, eps_zero)
-            evaluations.append(
-                ThetaEvaluation(
-                    feature=i, candidate=j, context=context, theta=th,
-                    redundant=verdict,
-                )
-            )
+            evaluations.append(ThetaEvaluation(j, context, th, verdict))
             if verdict:
                 surviving.remove(j)
-                removed.append(j)
-                contributions.append((j, th.map(operator.neg)))
         pms = FeatureSubset(surviving)
         try:
             joint = cache.mi(TARGET, _with(pms.indices, i))
             partners_only = cache.mi(TARGET, pms.indices)
         except EstimatorError as err:
             raise EstimatorError(f"feature {name!r}: {err}") from err
-        fws = EstimateEnsemble.linear(
-            [(1.0, joint), (-1.0, partners_only), (-1.0, mi_i)]
-        )
-        contributions.sort(key=lambda pair: pair[0])
+        removals = sorted((ev for ev in evaluations if ev.redundant),
+                          key=operator.attrgetter("candidate"))
         results.append(
             PidfFeatureResult(
                 index=i,
                 name=name,
                 mi=mi_i,
-                fws=fws,
-                fwr_contributions=tuple(contributions),
+                fws=_fws(joint, partners_only, mi_i),
+                fwr_contributions=tuple(
+                    (ev.candidate, ev.theta.map(operator.neg)) for ev in removals
+                ),
                 max_synergy_set=pms,
                 related_set=related,
-            )
-        )
-        traces.append(
-            FeatureTrace(
-                feature=i,
                 candidate_order=order,
                 evaluations=tuple(evaluations),
-                removed=tuple(removed),
             )
         )
     return PidfReport(
@@ -290,12 +252,10 @@ def run_pidf(
         target_name=data.target_name,
         n_samples=data.n_samples,
         estimator=cfg,
-        repetitions=cfg.repetitions,
         alpha=alpha,
         eps_zero=eps_zero,
         dataset_seed=data.seed,
         dataset_source=data.source,
-        trace=PidfTrace(tuple(traces)),
     )
 
 
@@ -322,8 +282,7 @@ def brute_force_fws(
     mi_i = cache.mi(TARGET, (feature,))
     subsets = tuple(_power_set(rest))
     ensembles = [
-        EstimateEnsemble.linear([(1.0, cache.mi(TARGET, _with(subset, feature))),
-                                 (-1.0, cache.mi(TARGET, subset)), (-1.0, mi_i)])
+        _fws(cache.mi(TARGET, _with(subset, feature)), cache.mi(TARGET, subset), mi_i)
         for subset in subsets
     ]
     _, ties = _ties([ens.mean for ens in ensembles])

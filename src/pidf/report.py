@@ -103,7 +103,7 @@ def report_payload(
         "units": units,
         "config": {
             "estimator": _estimator_payload(report.estimator),
-            "repetitions": report.repetitions,
+            "repetitions": report.estimator.repetitions,
             "alpha": report.alpha,
             "eps_zero": report.eps_zero,
             "base_seed": report.estimator.base_seed,

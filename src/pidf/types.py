@@ -91,7 +91,9 @@ class ColumnKind:
 
     def __post_init__(self) -> None:
         if self.is_discrete:
-            if self.cardinality is None or self.cardinality < 1:
+            object.__setattr__(self, "cardinality",
+                               require_integer(self.cardinality, "cardinality"))
+            if self.cardinality < 1:
                 raise ConfigError("discrete columns need a cardinality >= 1")
         elif self.cardinality is not None:
             raise ConfigError("continuous columns take no cardinality")
@@ -364,8 +366,18 @@ def validate_dataset(
 
 
 @dataclass(frozen=True)
+class ThetaEvaluation:
+    """One candidate decision inside a feature's pass."""
+
+    candidate: int
+    context: FeatureSubset
+    theta: EstimateEnsemble
+    redundant: bool
+
+
+@dataclass(frozen=True)
 class PidfFeatureResult:
-    """Decomposition output for one feature.
+    """Decomposition output for one feature, with the pass that reached it.
 
     ``fwr_contributions`` maps a removed-or-redundant partner index to the
     theta-derived redundancy ensemble attributed to that partner (already
@@ -373,6 +385,9 @@ class PidfFeatureResult:
     surviving partner set the synergy estimate was measured against, and
     ``related_set`` holds the partners with significantly positive pairwise
     MI (only these can ever substitute for the feature).
+    ``candidate_order`` lists the other features in descending pairwise-MI
+    order, and ``evaluations`` holds the theta decision on each related
+    candidate, in that order.
     """
 
     index: int
@@ -382,6 +397,8 @@ class PidfFeatureResult:
     fwr_contributions: tuple[tuple[int, EstimateEnsemble], ...]
     max_synergy_set: FeatureSubset
     related_set: FeatureSubset
+    candidate_order: tuple[int, ...] = ()
+    evaluations: tuple[ThetaEvaluation, ...] = ()
 
     @property
     def mi_value(self) -> float:
@@ -427,12 +444,10 @@ class PidfReport:
     target_name: str
     n_samples: int
     estimator: Any
-    repetitions: int
     alpha: float
     eps_zero: float
     dataset_seed: int | None = None
     dataset_source: str = "memory"
-    trace: Any = None
 
     def __post_init__(self) -> None:
         if len(self.results) != len(self.feature_names):
@@ -476,6 +491,13 @@ def require_number(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def require_integer(value: Any, name: str) -> int:
+    """The value as a plain int; bools and non-integers are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def require_probability(value: Any, name: str) -> float:

@@ -301,8 +301,9 @@ class TestEstimatorFlag:
         cfg = cli._estimator_config(args, data, 0)
         assert cfg.kind_name == name
         # The report JSON names the kind the same way.
-        report = PidfReport((), (), "target", data.n_samples, cfg,
-                            cfg.repetitions, 0.05, 0.01)
+        report = PidfReport(results=(), feature_names=(), target_name="target",
+                            n_samples=data.n_samples, estimator=cfg, alpha=0.05,
+                            eps_zero=0.01)
         assert json.loads(render_json(report))["config"]["estimator"]["kind"] == name
 
 

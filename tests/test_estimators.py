@@ -29,11 +29,13 @@ from pidf import (
     EstimatorError,
     ExactDiscrete,
     FeatureSubset,
+    GeneratorSpec,
     Ksg,
     Mine,
     MineConfig,
     TARGET,
     estimate_mi,
+    generate,
     oracle_mi,
     render_json,
     run_pidf,
@@ -1175,7 +1177,43 @@ class TestSubsampling:
         assert not np.array_equal(a, b)
 
 
+# Each integer field of the public constructors, as a builder of one value.
+INTEGER_FIELDS = {
+    "cardinality": ColumnKind.discrete,
+    "bins": lambda v: Binned(bins=v),
+    "k": lambda v: Ksg(k=v),
+    "batch_size": lambda v: MineConfig(batch_size=v),
+    "iterations": lambda v: MineConfig(iterations=v),
+    "hidden": lambda v: MineConfig(hidden=v),
+    "repetitions": lambda v: EstimatorConfig(repetitions=v),
+    "base_seed": lambda v: EstimatorConfig(base_seed=v),
+    "n_samples": lambda v: GeneratorSpec("rvq", n_samples=v),
+    "seed": lambda v: GeneratorSpec("rvq", seed=v),
+}
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            INTEGER_FIELDS[field](value)
+
+    @pytest.mark.parametrize("kind", ["binned", "ksg", "mine"])
+    def test_numpy_integers_render_as_ints(self, kind):
+        def report(num):
+            data = generate(GeneratorSpec("rvq", n_samples=num(60), seed=num(2)))
+            estimator = {
+                "binned": Binned(bins=num(4)),
+                "ksg": Ksg(k=num(2)),
+                "mine": Mine(MineConfig(batch_size=num(16), iterations=num(3),
+                                        hidden=num(4))),
+            }[kind]
+            cfg = EstimatorConfig(kind=estimator, repetitions=num(2), base_seed=num(1))
+            return render_json(run_pidf(data, cfg))
+
+        assert report(np.int64) == report(int)
+
     def test_bad_repetitions(self):
         with pytest.raises(ConfigError):
             EstimatorConfig(kind=ExactDiscrete(), repetitions=0, base_seed=0)

@@ -13,12 +13,15 @@ from pidf import (
     EstimatorConfig,
     ExactDiscrete,
     FeatureSubset,
+    GeneratorSpec,
+    Ksg,
     MiCache,
     SubsetCapError,
     TARGET,
     brute_force_fws,
     default_config,
     estimate_mi,
+    generate,
     is_redundant,
     oracle_mi,
     population_table,
@@ -26,6 +29,8 @@ from pidf import (
     significantly_positive,
     theta,
 )
+from pidf import estimators
+from pidf.datasets import TERC_RULES
 
 LN2 = math.log(2.0)
 SEEDS = (0, 1, 2)
@@ -151,6 +156,57 @@ class TestMiCache:
         assert cache.mi(TARGET, [5, 2, 0, 2]) is a
 
 
+class TestBenchmarkHooks:
+    """perfbench's tracer counts and times a run by replacing module
+    attributes: MiCache.mi, estimators.estimate_mi and estimators.ksg_mi.
+    These tests hold the calls where it replaces them."""
+
+    def test_each_cache_miss_calls_estimate_mi_once(self, monkeypatch):
+        calls = []
+        estimate = estimators.estimate_mi
+
+        def recorded(*args, **kwargs):
+            calls.append((args, kwargs))
+            return estimate(*args, **kwargs)
+
+        per_lookup = []
+        lookup = MiCache.mi
+
+        def counted(cache, left, right):
+            before = len(calls)
+            try:
+                return lookup(cache, left, right)
+            finally:
+                per_lookup.append(len(calls) - before)
+
+        monkeypatch.setattr(estimators, "estimate_mi", recorded)
+        monkeypatch.setattr(MiCache, "mi", counted)
+        data = population_table("msq")
+        cfg = default_config(data)
+        run_pidf(data, cfg)
+        assert set(per_lookup) == {0, 1}
+        assert sum(per_lookup) == len(calls)
+        for args, kwargs in calls:
+            assert len(args) == 4 and not kwargs
+            assert args[0] is data and args[3] is cfg
+        groups = [args[1:3] for args, _ in calls]
+        assert len(set(groups)) == len(groups)
+
+    def test_ksg_calls_the_module_ksg_mi(self, monkeypatch):
+        calls = []
+        ksg_mi = estimators.ksg_mi
+
+        def recorded(x, y, k):
+            calls.append(k)
+            return ksg_mi(x, y, k)
+
+        monkeypatch.setattr(estimators, "ksg_mi", recorded)
+        data = generate(GeneratorSpec("wt", 300, 4))
+        cfg = EstimatorConfig(kind=Ksg(k=4), repetitions=3, base_seed=0)
+        estimate_mi(data, FeatureSubset.of(0), TARGET, cfg)
+        assert calls == [4, 4, 4]
+
+
 class TestTheta:
     def test_synergy_is_positive(self):
         # XOR pair: the candidate unlocks the feature's information
@@ -233,16 +289,16 @@ class TestRunOnRvq:
             assert r.oci == pytest.approx(0.0, abs=1e-12)
 
     def test_trace_records_the_pass(self, report):
-        t1 = report.trace.features[1]
-        assert t1.candidate_order == (2, 0)
-        assert t1.removed == (2,)
-        assert len(t1.evaluations) == 1
-        ev = t1.evaluations[0]
+        r1 = report.results[1]
+        assert r1.candidate_order == (2, 0)
+        assert len(r1.evaluations) == 1
+        ev = r1.evaluations[0]
+        assert ev.candidate == 2
         assert ev.redundant
         assert ev.context == FeatureSubset.of(0)
         assert ev.theta.mean == pytest.approx(-LN2, abs=1e-12)
         # f0 has no related candidates, so nothing was evaluated
-        assert report.trace.features[0].evaluations == ()
+        assert report.results[0].evaluations == ()
 
 
 class TestRunOnMsq:
@@ -287,14 +343,13 @@ class TestRunOnTerc1:
         for r in report.results:
             assert r.fwr_contributions == ()
             assert r.fwr_total == 0.0
-        for tr in report.trace.features:
-            assert tr.removed == ()
+            assert not any(ev.redundant for ev in r.evaluations)
 
     def test_copy_evaluations_are_zero(self, report):
-        t0 = report.trace.features[0]
-        assert t0.candidate_order[:3] == (3, 4, 5)
-        assert len(t0.evaluations) == 3
-        for ev in t0.evaluations:
+        r0 = report.results[0]
+        assert r0.candidate_order[:3] == (3, 4, 5)
+        assert len(r0.evaluations) == 3
+        for ev in r0.evaluations:
             assert not ev.redundant
             assert ev.theta.mean == pytest.approx(0.0, abs=1e-12)
 
@@ -331,13 +386,37 @@ class TestRunOnPairsum:
         assert r0.fwr_contributions[0][1].mean == pytest.approx(LN2, abs=1e-12)
 
 
+POPULATION_IDS = ("rvq", "svq", "msq", "terc1", "terc2", "pairsum", "sg")
+
+
+@pytest.mark.parametrize("terc_rule", TERC_RULES)
+@pytest.mark.parametrize("dataset_id", POPULATION_IDS)
+def test_contributions_are_the_redundant_evaluations(dataset_id, terc_rule):
+    """Each feature's pass evaluates its related candidates in candidate
+    order, and each redundancy contribution is a redundant evaluation's
+    theta, negated bit for bit, keyed by its candidate."""
+    report = run_pidf(population_table(dataset_id, terc_rule))
+    for r in report.results:
+        others = [j for j in range(report.n_features) if j != r.index]
+        assert sorted(r.candidate_order) == others
+        assert [ev.candidate for ev in r.evaluations] == [
+            j for j in r.candidate_order if j in r.related_set
+        ]
+        redundant = sorted((ev for ev in r.evaluations if ev.redundant),
+                           key=lambda ev: ev.candidate)
+        assert [j for j, _ in r.fwr_contributions] == [ev.candidate for ev in redundant]
+        for (_, ens), ev in zip(r.fwr_contributions, redundant):
+            assert ens.seeds == ev.theta.seeds
+            assert [e.hex() for e in ens.estimates] == [
+                (-t).hex() for t in ev.theta.estimates
+            ]
+
+
 class TestNetTelescopes:
     """mi + fws - sum of removal charges collapses to the feature's overall
     unique contribution I(Y; all) - I(Y; all except the feature)."""
 
-    @pytest.mark.parametrize(
-        "dataset_id", ["rvq", "svq", "msq", "terc1", "terc2", "pairsum", "sg"]
-    )
+    @pytest.mark.parametrize("dataset_id", POPULATION_IDS)
     def test_population_tables(self, dataset_id):
         data = population_table(dataset_id)
         report = run_pidf(data)
@@ -395,7 +474,7 @@ class TestConfigHandling:
         data = population_table("rvq")
         cfg = EstimatorConfig(kind=ExactDiscrete(), repetitions=3, base_seed=7)
         report = run_pidf(data, cfg)
-        assert report.repetitions == 3
+        assert report.estimator.repetitions == 3
         assert report.results[0].mi.n == 3
 
     def test_bad_alpha(self):

@@ -44,7 +44,7 @@ class TestPayload:
         assert payload["schema_version"] == 1
         assert payload["units"] == "nats"
         assert payload["config"]["estimator"]["kind"] == "exact"
-        assert payload["config"]["repetitions"] == report.repetitions
+        assert payload["config"]["repetitions"] == report.estimator.repetitions
         assert payload["dataset"]["n_features"] == 3
         assert payload["dataset"]["feature_names"] == ["f0", "f1", "f2"]
         assert len(payload["features"]) == 3

@@ -50,12 +50,10 @@ def make_report(results):
         target_name="target",
         n_samples=100,
         estimator=None,
-        repetitions=len(SEEDS),
         alpha=0.05,
         eps_zero=0.01,
         dataset_seed=None,
         dataset_source="crafted",
-        trace=None,
     )
 
 

@@ -246,7 +246,6 @@ class TestPidfFeatureResult:
                 target_name="target",
                 n_samples=10,
                 estimator=None,
-                repetitions=2,
                 alpha=0.05,
                 eps_zero=0.01,
             )
