@@ -257,7 +257,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def _verify_mi_agreement(data: Dataset, cfg: EstimatorConfig) -> float:
     """Max |estimator - oracle| over singleton/pair/full MI queries."""
-    ref = oracle.ExactOracle(data)
     worst = 0.0
     groups = [(FeatureSubset.of(i), TARGET) for i in range(data.n_features)]
     groups.append((FeatureSubset.full(data.n_features), TARGET))
@@ -266,7 +265,7 @@ def _verify_mi_agreement(data: Dataset, cfg: EstimatorConfig) -> float:
             groups.append((FeatureSubset.of(i), FeatureSubset.of(j)))
     for left, right in groups:
         est = estimate_mi(data, left, right, cfg).mean
-        exact = ref.mi(oracle._resolve_group(left), oracle._resolve_group(right))
+        exact = oracle.oracle_mi(data, left, right)
         worst = max(worst, abs(est - exact))
     return worst
 
@@ -403,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="cross-check estimators and the pass against the exact oracle"
     )
     verify.add_argument("--datasets", type=_dataset_ids,
-                        default="rvq,svq,msq,terc1,terc2,sg,pairsum",
+                        default=",".join(datasets.POPULATION_IDS),
                         help="comma-separated discrete dataset ids (default %(default)s)")
     _add_shared_flags(verify, rows=False)
     verify.set_defaults(func=cmd_verify)

@@ -27,6 +27,7 @@ from .types import (
     Dataset,
     DatasetError,
     FeatureSubset,
+    _column_index,
     philox,
     require_integer,
 )
@@ -213,6 +214,9 @@ def _gen_sg(spec: GeneratorSpec) -> Dataset:
 
 _GENERATORS = {"wt": _gen_wt, "ubr": _gen_ubr, "sg": _gen_sg}
 
+# The discrete ids, each with an exact population table (population_table).
+POPULATION_IDS = tuple(d for d in DATASET_IDS if d in _FAIR_BIT or d == "sg")
+
 
 def generate(spec: GeneratorSpec) -> Dataset:
     """Draw one synthetic dataset; identical spec gives identical bytes."""
@@ -226,6 +230,7 @@ def generate(spec: GeneratorSpec) -> Dataset:
 
 def duplicate_feature(data: Dataset, index: int) -> Dataset:
     """Append an exact copy of one feature column, name suffixed with _dup."""
+    index = _column_index(index)
     if not 0 <= index < data.n_features:
         raise DatasetError(f"feature index {index} out of range")
     base = f"{data.feature_names[index]}_dup"
@@ -282,12 +287,12 @@ def population_table(dataset: str, terc_rule: str = "all_equal") -> Dataset:
     """
     _require_known(dataset, DATASET_IDS, "dataset id")
     _require_known(terc_rule, TERC_RULES, "terc rule")
-    if dataset == "sg":
-        return _sg_population()
-    fair = _FAIR_BIT.get(dataset)
-    if fair is None:
+    if dataset not in POPULATION_IDS:
         raise DatasetError(
             f"no exact population table for continuous dataset {dataset!r}"
         )
+    if dataset == "sg":
+        return _sg_population()
+    fair = _FAIR_BIT[dataset]
     combos = np.array(list(itertools.product((0.0, 1.0), repeat=len(fair.tags))))
     return fair.build(combos.T, terc_rule, None, f"population:{dataset}")

@@ -16,23 +16,22 @@ import os
 import sys
 from dataclasses import dataclass, field
 from functools import cache, partial
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .types import (
+    _TARGET_ID,
     ColumnKind,
     ConfigError,
     Dataset,
     EstimateEnsemble,
     EstimatorError,
-    FeatureSubset,
-    _TargetMarker,
+    GroupLike,
+    _group_ids,
     philox,
     require_integer,
 )
-
-_TARGET_ID = -1
 
 # Purpose words mixed into the second Philox key word so the row-subsample
 # stream and each column's jitter stream never collide. The low bits hold
@@ -168,55 +167,6 @@ class EstimatorConfig:
     @property
     def is_deterministic(self) -> bool:
         return isinstance(self.kind, (ExactDiscrete, Binned))
-
-
-GroupLike = Union[FeatureSubset, _TargetMarker, Iterable[int]]
-
-
-def _sorted_ints(group: object) -> bool:
-    """Whether group is a tuple of ints, each larger than the one before."""
-    if type(group) is not tuple:
-        return False
-    last = -math.inf
-    for i in group:
-        if type(i) is not int or i <= last:
-            return False
-        last = i
-    return True
-
-
-def _resolve_group(data: Dataset, group: GroupLike) -> tuple[int, ...]:
-    """Normalize a group argument to sorted column ids (-1 = target).
-
-    A tuple of ints already sorted and unique is taken as it is, with no
-    set built and no sort; any other iterable is read once.
-    """
-    if isinstance(group, _TargetMarker):
-        return (_TARGET_ID,)
-    if isinstance(group, FeatureSubset):
-        ids = group.indices
-    elif _sorted_ints(group):
-        ids = group
-    else:
-        ids = tuple(sorted({int(i) for i in group}))
-    # Sorted, the ids lie in range when their ends do.
-    if ids and (ids[0] < 0 or ids[-1] >= data.n_features):
-        for i in ids:
-            if i == _TARGET_ID:
-                raise ConfigError("use the TARGET marker, not index -1")
-            if not 0 <= i < data.n_features:
-                raise ConfigError(f"feature index {i} out of range")
-    return ids
-
-
-def _columns(data: Dataset, ids: tuple[int, ...]) -> list[np.ndarray]:
-    return [data.target if i == _TARGET_ID else data.features[:, i] for i in ids]
-
-
-def _kinds(data: Dataset, ids: tuple[int, ...]) -> tuple[ColumnKind, ...]:
-    return tuple(
-        data.target_kind if i == _TARGET_ID else data.kinds[i] for i in ids
-    )
 
 
 def _check_groups(left: tuple[int, ...], right: tuple[int, ...]) -> None:
@@ -407,7 +357,7 @@ class _PluginTable:
         # can have a huge or negative maximum.
         binned = isinstance(kind, Binned)
         covered = tuple(i for i in range(_TARGET_ID, data.n_features)
-                        if binned or _kinds(data, (i,))[0].is_discrete)
+                        if binned or data.kind(i).is_discrete)
         if covered:
             self._code_all(covered)
 
@@ -481,7 +431,7 @@ class _PluginTable:
         # weighted as they are.
         ready, radices = {}, {}
         for i in covered:
-            kind = _kinds(data, (i,))[0]
+            kind = data.kind(i)
             if kind.is_discrete and kind.cardinality <= _PRODUCT_SPAN:
                 radices[i] = kind.cardinality
             else:
@@ -508,13 +458,12 @@ class _PluginTable:
         self._parts = [(code[kept], span, places) for code, span, places in codes]
         # Kept, every distinct state is there, so each radix is the one of
         # all the rows.
-        features, target = data.features[kept], data.target[kept]
         for i in covered:
             if i in ready:
                 digits, radix = ready[i]
                 self._digits[i] = digits[kept], radix
             else:
-                self._digits[i] = _narrow(target if i == _TARGET_ID else features[:, i])
+                self._digits[i] = _narrow(data.column(i)[kept])
 
     def _product(self, part: list[int], radices: dict[int, int],
                  ready: dict[int, tuple[np.ndarray, int]]
@@ -565,8 +514,8 @@ class _PluginTable:
         """The digits on all rows, and their radix, of a column that the
         product cannot weight as it is: its bins under Binned, or the ranks
         of its distinct values where its cardinality passes _PRODUCT_SPAN."""
-        col = _columns(self.data, (col_id,))[0]
-        kind = _kinds(self.data, (col_id,))[0]
+        col = self.data.column(col_id)
+        kind = self.data.kind(col_id)
         if not kind.is_discrete:
             return _narrow(_bin_column(col, kind, self.kind.bins))
         return _narrow(np.unique(col, return_inverse=True)[1])
@@ -635,7 +584,7 @@ class _KsgSample:
             if rows is None:
                 rows = subsample_rows(self.data.n_samples, self.kind.subsample, rep_seed)
                 self._rows[rep_seed] = rows
-            whole = _columns(self.data, (col_id,))[0]
+            whole = self.data.column(col_id)
             col = _jittered(whole, col_id, self.kind.jitter, rep_seed)[rows]
             self._columns[rep_seed, col_id] = col
         return col
@@ -653,9 +602,9 @@ class _MineSample:
         """One repetition's estimate of I(left; right)."""
         from . import mine
 
-        return mine.mine_estimate(np.column_stack(_columns(self.data, left_ids)),
-                                  np.column_stack(_columns(self.data, right_ids)),
-                                  self.kind.config, rep_seed)
+        x, y = (np.column_stack([self.data.column(i) for i in ids])
+                for ids in (left_ids, right_ids))
+        return mine.mine_estimate(x, y, self.kind.config, rep_seed)
 
 
 # The store class of each estimator kind in KINDS.
@@ -847,8 +796,8 @@ def estimate_mi(
     Groups must be disjoint or identical. An empty group on either side
     yields an exactly-zero ensemble without invoking the estimator.
     """
-    left_ids = _resolve_group(data, left)
-    right_ids = _resolve_group(data, right)
+    left_ids = _group_ids(left, data.n_features)
+    right_ids = _group_ids(right, data.n_features)
     _check_groups(left_ids, right_ids)
     seeds = cfg.seeds()
     if not left_ids or not right_ids:

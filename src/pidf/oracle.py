@@ -17,15 +17,14 @@ from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .types import (
-    TARGET,
+    _TARGET_ID,
     Dataset,
     FeatureSubset,
+    GroupLike,
     OracleUnsupportedError,
     SubsetCapError,
-    _TargetMarker,
+    _group_ids,
 )
-
-_TARGET_KEY = -1
 
 # Tolerance of every exact comparison: synergy ties, the theorem and
 # assumption checks, and the checks of ``pidf verify``.
@@ -36,96 +35,44 @@ TOLERANCE = 1e-9
 _POWER_SET_CAP = 15
 _CHECK_CAP = 10
 
-GroupLike = "FeatureSubset | _TargetMarker | Iterable[int]"
-
-
-@dataclass(frozen=True)
-class JointTable:
-    """Empirical joint distribution of a column group.
-
-    Outcomes are stored sorted so every accumulation below iterates in a
-    fixed order, which keeps the floating-point sums bit-reproducible.
-    """
-
-    outcomes: tuple[tuple[int, ...], ...]
-    counts: tuple[int, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n <= 0:
-            raise OracleUnsupportedError("joint table needs at least one row")
-        if len(self.outcomes) != len(self.counts):
-            raise OracleUnsupportedError("outcome/count length mismatch")
-        if any(c <= 0 for c in self.counts):
-            raise OracleUnsupportedError("joint table counts must be positive")
-        if sum(self.counts) != self.n:
-            raise OracleUnsupportedError("joint table counts must sum to n")
-        total = math.fsum(c / self.n for c in self.counts)
-        if abs(total - 1.0) > 1e-12:
-            raise OracleUnsupportedError("probabilities must sum to 1")
-
-    @staticmethod
-    def from_rows(rows: Iterable[tuple[int, ...]]) -> "JointTable":
-        counter = Counter(rows)
-        items = sorted(counter.items())
-        n = sum(counter.values())
-        return JointTable(
-            outcomes=tuple(k for k, _ in items),
-            counts=tuple(v for _, v in items),
-            n=n,
-        )
-
-    @property
-    def probabilities(self) -> dict[tuple[int, ...], float]:
-        return {o: c / self.n for o, c in zip(self.outcomes, self.counts)}
-
-    def entropy(self) -> float:
-        """Shannon entropy in nats, accumulated over sorted outcomes."""
-        acc = math.fsum(c * math.log(c) for c in self.counts)
-        return max(0.0, math.log(self.n) - acc / self.n)
-
-
 class ExactOracle:
     """Exact plug-in information quantities over one discrete dataset.
 
-    Columns are addressed by feature index; the target is the reserved key
-    -1. Entropies are memoized per column-set because the exhaustive
-    enumerations below revisit the same groups many times.
+    Columns are addressed by resolved id: feature index, or _TARGET_ID for
+    the target. Entropies are memoized per column-set because the
+    exhaustive enumerations below revisit the same groups many times.
     """
 
     def __init__(self, data: Dataset):
-        for name, kind in zip(data.feature_names, data.kinds):
-            if not kind.is_discrete:
+        for i in (*range(data.n_features), _TARGET_ID):
+            if not data.kind(i).is_discrete:
+                name = "target" if i == _TARGET_ID else repr(data.feature_names[i])
                 raise OracleUnsupportedError(
-                    f"oracle requires discrete columns; {name!r} is continuous"
-                )
-        if not data.target_kind.is_discrete:
-            raise OracleUnsupportedError(
-                "oracle requires discrete columns; target is continuous"
-            )
+                    f"oracle requires discrete columns; {name} is continuous")
         self.n_features = data.n_features
+        self._n = data.n_samples
         self._columns: dict[int, tuple[int, ...]] = {
-            i: tuple(int(v) for v in data.features[:, i])
-            for i in range(data.n_features)
+            i: tuple(int(v) for v in data.column(i))
+            for i in range(_TARGET_ID, data.n_features)
         }
-        self._columns[_TARGET_KEY] = tuple(int(v) for v in data.target)
         self._entropy_cache: dict[frozenset[int], float] = {}
 
-    def _rows(self, cols: frozenset[int]) -> Iterable[tuple[int, ...]]:
-        ordered = sorted(cols)
-        pulled = [self._columns[c] for c in ordered]
-        return zip(*pulled) if pulled else (() for _ in self._columns[_TARGET_KEY])
-
-    def table(self, cols: Iterable[int]) -> JointTable:
-        return JointTable.from_rows(self._rows(frozenset(cols)))
-
     def entropy(self, cols: Iterable[int]) -> float:
+        """Shannon entropy of a column group in nats, from the count of each
+        distinct row of its columns.
+
+        math.fsum rounds the exact sum of its terms once, so the order in
+        which the counts come, and so the order of the columns, never
+        changes a bit of the value.
+        """
         key = frozenset(cols)
         if not key:
             return 0.0
         cached = self._entropy_cache.get(key)
         if cached is None:
-            cached = self.table(key).entropy()
+            counts = Counter(zip(*(self._columns[c] for c in key))).values()
+            acc = math.fsum(c * math.log(c) for c in counts)
+            cached = max(0.0, math.log(self._n) - acc / self._n)
             self._entropy_cache[key] = cached
         return cached
 
@@ -151,7 +98,7 @@ class ExactOracle:
     def interaction(self, feature: int, partners: Iterable[int]) -> float:
         """II(target; feature; partners), positive for synergy."""
         partners = frozenset(partners)
-        y = frozenset({_TARGET_KEY})
+        y = frozenset({_TARGET_ID})
         return (
             self.mi(y, partners | {feature})
             - self.mi(y, {feature})
@@ -166,40 +113,33 @@ class ExactOracle:
             raise OracleUnsupportedError("theta needs two distinct features")
         if i in context or j in context:
             raise OracleUnsupportedError("theta context must exclude i and j")
-        y = frozenset({_TARGET_KEY})
+        y = frozenset({_TARGET_ID})
         with_j = self.mi(y, context | {i, j}) - self.mi(y, context | {j})
         without_j = self.mi(y, context | {i}) - self.mi(y, context)
         return with_j - without_j
 
 
-def _resolve_group(group: "GroupLike") -> frozenset[int]:
-    if isinstance(group, _TargetMarker):
-        return frozenset({_TARGET_KEY})
-    if isinstance(group, FeatureSubset):
-        return frozenset(group.indices)
-    return frozenset(int(i) for i in group)
-
-
-def oracle_entropy(data: Dataset, group: "GroupLike") -> float:
+def oracle_entropy(data: Dataset, group: GroupLike) -> float:
     """Exact plug-in entropy of a column group, in nats."""
-    return ExactOracle(data).entropy(_resolve_group(group))
+    return ExactOracle(data).entropy(_group_ids(group, data.n_features))
 
 
-def oracle_mi(data: Dataset, left: "GroupLike", right: "GroupLike") -> float:
+def oracle_mi(data: Dataset, left: GroupLike, right: GroupLike) -> float:
     """Exact plug-in MI between two column groups, in nats."""
-    oracle = ExactOracle(data)
-    return oracle.mi(_resolve_group(left), _resolve_group(right))
+    n_features = data.n_features
+    return ExactOracle(data).mi(_group_ids(left, n_features), _group_ids(right, n_features))
 
 
 def oracle_theta(
     data: Dataset, i: int, j: int, context: "FeatureSubset | Iterable[int]" = ()
 ) -> float:
     """Exact candidate-effect value for feature i, candidate j, context."""
-    oracle = ExactOracle(data)
-    ctx = _resolve_group(context)
-    if _TARGET_KEY in ctx:
+    n_features = data.n_features
+    (i,), (j,) = (_group_ids((k,), n_features) for k in (i, j))
+    ctx = _group_ids(context, n_features)
+    if _TARGET_ID in ctx:
         raise OracleUnsupportedError("context is a feature set; target not allowed")
-    return oracle.theta(i, j, ctx)
+    return ExactOracle(data).theta(i, j, ctx)
 
 
 def _require_cap(data: Dataset, cap: int, what: str) -> None:
@@ -257,7 +197,7 @@ def oracle_pidf(data: Dataset) -> OraclePidf:
     out = []
     for i in all_features:
         rest = tuple(f for f in all_features if f != i)
-        mi = oracle.mi({_TARGET_KEY}, {i})
+        mi = oracle.mi({_TARGET_ID}, {i})
         subsets = tuple(_power_set(rest))
         fws, ties = _ties([oracle.interaction(i, subset) for subset in subsets])
         maximizers = tuple(FeatureSubset(subsets[k]) for k in ties)
@@ -304,7 +244,7 @@ def check_theorems(data: Dataset) -> TheoremReport:
     oracle = ExactOracle(data)
     decomposition = oracle_pidf(data)
     all_features = tuple(range(data.n_features))
-    y = frozenset({_TARGET_KEY})
+    y = frozenset({_TARGET_ID})
 
     max_residual = 0.0
     for feat in decomposition.features:

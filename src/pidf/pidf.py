@@ -14,15 +14,10 @@ from __future__ import annotations
 import operator
 from typing import Iterable
 
-from .estimators import (
-    _TARGET_ID,
-    EstimatorConfig,
-    ExactDiscrete,
-    Ksg,
-    _resolve_group,
-)
+from .estimators import EstimatorConfig, ExactDiscrete, Ksg
 from .oracle import _POWER_SET_CAP, _power_set, _require_cap, _ties
 from .types import (
+    _TARGET_ID,
     TARGET,
     ConfigError,
     Dataset,
@@ -32,6 +27,7 @@ from .types import (
     PidfFeatureResult,
     PidfReport,
     ThetaEvaluation,
+    _group_ids,
     require_nonnegative,
     require_probability,
 )
@@ -108,8 +104,8 @@ class MiCache:
 
     def mi(self, left, right) -> EstimateEnsemble:
         """I(left; right), for groups as estimate_mi takes them."""
-        left_ids = _resolve_group(self.data, left)
-        right_ids = _resolve_group(self.data, right)
+        left_ids = _group_ids(left, self.data.n_features)
+        right_ids = _group_ids(right, self.data.n_features)
         if right_ids < left_ids:
             left_ids, right_ids = right_ids, left_ids
         key = (left_ids, right_ids)
@@ -147,14 +143,13 @@ def theta(
     carries the feature's contribution (redundancy); positive values mean
     the pair is synergistic.
     """
-    ctx = (context if isinstance(context, FeatureSubset) else FeatureSubset(context)).indices
+    n_features = data.n_features
+    (feature,), (candidate,) = (_group_ids((i,), n_features) for i in (feature, candidate))
+    ctx = _group_ids(context, n_features)
     if feature == candidate:
         raise ConfigError("feature and candidate must differ")
-    if feature in ctx or candidate in ctx:
-        raise ConfigError("context must exclude feature and candidate")
-    for idx in (feature, candidate):
-        if not 0 <= idx < data.n_features:
-            raise ConfigError(f"feature index {idx} out of range")
+    if {feature, candidate, _TARGET_ID} & set(ctx):
+        raise ConfigError("context must exclude the target, feature and candidate")
     if cache is None:
         cache = MiCache(data, cfg)
     with_candidate = cache.mi(TARGET, _with(ctx, feature, candidate))
@@ -275,8 +270,7 @@ def brute_force_fws(
     if cfg is None:
         cfg = default_config(data)
     _require_cap(data, cap, "exhaustive search")
-    if not 0 <= feature < data.n_features:
-        raise ConfigError(f"feature index {feature} out of range")
+    (feature,) = _group_ids((feature,), data.n_features)
     cache = MiCache(data, cfg)
     rest = [j for j in range(data.n_features) if j != feature]
     mi_i = cache.mi(TARGET, (feature,))

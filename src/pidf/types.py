@@ -1,8 +1,9 @@
 """Core value types shared across the library.
 
-Everything here is estimator-agnostic: units, feature subsets, ensembles of
-repeated estimates, dataset containers, and the per-feature result records
-produced by the decomposition. All information values are stored in nats;
+Everything here is estimator-agnostic: units, feature subsets and the
+column ids every group argument resolves to, ensembles of repeated
+estimates, dataset containers, and the per-feature result records produced
+by the decomposition. All information values are stored in nats;
 conversion to bits happens only at presentation time.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -61,6 +62,9 @@ class _TargetMarker:
 
 
 TARGET = _TargetMarker()
+
+# The target's id among resolved column ids; feature i's id is i.
+_TARGET_ID = -1
 
 
 def convert_units(value_nats: float, unit: str) -> float:
@@ -118,7 +122,7 @@ class FeatureSubset:
     indices: tuple[int, ...]
 
     def __init__(self, indices: Iterable[int] = ()) -> None:
-        canonical = tuple(sorted({int(i) for i in indices}))
+        canonical = _canonical_ids(indices)
         if canonical and canonical[0] < 0:
             raise ConfigError("feature indices must be non-negative")
         object.__setattr__(self, "indices", canonical)
@@ -163,6 +167,63 @@ class FeatureSubset:
     def __repr__(self) -> str:
         inner = ", ".join(str(i) for i in self.indices)
         return f"FeatureSubset({{{inner}}})"
+
+
+GroupLike = Union[FeatureSubset, _TargetMarker, Iterable[int]]
+
+
+def _column_index(value: Any) -> int:
+    """A column index as a plain int; anything but a whole number is refused."""
+    try:
+        index = int(value)
+    except (TypeError, ValueError, OverflowError):
+        index = None
+    if index is None or index != value:
+        raise ConfigError(f"column index {value!r} is not an integer")
+    return index
+
+
+def _canonical_ids(indices: Iterable[Any]) -> tuple[int, ...]:
+    """The distinct column indices, each a whole number, sorted."""
+    return tuple(sorted({_column_index(i) for i in indices}))
+
+
+def _sorted_ints(group: object) -> bool:
+    """Whether group is a tuple of ints, each larger than the one before."""
+    if type(group) is not tuple:
+        return False
+    last = -math.inf
+    for i in group:
+        if type(i) is not int or i <= last:
+            return False
+        last = i
+    return True
+
+
+def _group_ids(group: GroupLike, n_features: int) -> tuple[int, ...]:
+    """Normalize a group argument to sorted column ids (_TARGET_ID for the
+    target) of a dataset with n_features features.
+
+    A tuple of ints already sorted and unique is taken as it is, with no
+    set built and no sort; any other iterable is read once, and each of its
+    indices must be a whole number (_column_index).
+    """
+    if isinstance(group, _TargetMarker):
+        return (_TARGET_ID,)
+    if isinstance(group, FeatureSubset):
+        ids = group.indices
+    elif _sorted_ints(group):
+        ids = group
+    else:
+        ids = _canonical_ids(group)
+    # Sorted, the ids lie in range when their ends do.
+    if ids and (ids[0] < 0 or ids[-1] >= n_features):
+        for i in ids:
+            if i == _TARGET_ID:
+                raise ConfigError("use the TARGET marker, not index -1")
+            if not 0 <= i < n_features:
+                raise ConfigError(f"feature index {i} out of range")
+    return ids
 
 
 @dataclass(frozen=True)
@@ -276,6 +337,8 @@ class Dataset:
         for name, kind, col in zip(self.feature_names, self.kinds, feats.T):
             _check_kind(name, kind, col)
         _check_kind(self.target_name, self.target_kind, tgt)
+        if self.seed is not None:
+            object.__setattr__(self, "seed", require_integer(self.seed, "seed"))
         feats = feats.copy()
         tgt = tgt.copy()
         feats.setflags(write=False)
@@ -296,6 +359,14 @@ class Dataset:
     @property
     def all_discrete(self) -> bool:
         return self.target_kind.is_discrete and all(k.is_discrete for k in self.kinds)
+
+    def column(self, i: int) -> np.ndarray:
+        """The column of resolved id i: feature i, or the target at _TARGET_ID."""
+        return self.target if i == _TARGET_ID else self.features[:, i]
+
+    def kind(self, i: int) -> ColumnKind:
+        """The kind of the column of resolved id i."""
+        return self.target_kind if i == _TARGET_ID else self.kinds[i]
 
 
 def _check_kind(name: str, kind: ColumnKind, col: np.ndarray) -> None:

@@ -16,13 +16,11 @@ import numpy as np
 import pytest
 
 from pidf import ColumnKind, Dataset, datasets, population_table, run_pidf, select_features
-from pidf.datasets import duplicate_feature
-from pidf.oracle import _TARGET_KEY, TOLERANCE, ExactOracle, _power_set
+from pidf.datasets import POPULATION_IDS, duplicate_feature
+from pidf.oracle import TOLERANCE, ExactOracle, _power_set
+from pidf.types import _TARGET_ID
 
 from instances import random_population_instance
-
-# The datasets with an exact population table; wt and ubr are continuous.
-DISCRETE_IDS = tuple(d for d in datasets.DATASET_IDS if d not in ("wt", "ubr"))
 
 # Under the pair rule the terc target is f1 XOR f2, so f0 tells nothing
 # more and the ground truth {f0, f1, f2} is not minimal.
@@ -51,7 +49,7 @@ INSTANCE_COPY_MISSES = {
 
 def is_blanket(oracle: ExactOracle, n_features: int, subset: frozenset) -> bool:
     rest = [f for f in range(n_features) if f not in subset]
-    return oracle.cmi({_TARGET_KEY}, rest, subset) <= TOLERANCE
+    return oracle.cmi({_TARGET_ID}, rest, subset) <= TOLERANCE
 
 
 def is_minimal_blanket(data: Dataset, subset) -> bool:
@@ -104,7 +102,7 @@ def selected(data: Dataset) -> tuple[int, ...]:
     return select_features(run_pidf(data)).selected.indices
 
 
-@pytest.mark.parametrize("dataset_id", DISCRETE_IDS)
+@pytest.mark.parametrize("dataset_id", POPULATION_IDS)
 def test_ground_truth_is_a_minimal_blanket(dataset_id):
     data = population_table(dataset_id)
     assert is_minimal_blanket(data, datasets.GROUND_TRUTH[dataset_id])
@@ -119,7 +117,7 @@ def test_terc_truth_is_no_blanket_under_pair(dataset_id):
 
 def _population_cases():
     for rule in datasets.TERC_RULES:
-        for dataset_id in DISCRETE_IDS:
+        for dataset_id in POPULATION_IDS:
             marks = ()
             if rule == "pair" and dataset_id in PAIR_BLANKETS:
                 marks = pytest.mark.xfail(reason="selection keeps the all_equal truth")
@@ -151,7 +149,7 @@ def test_instance_selection_is_a_minimal_blanket(seed, bits):
 
 def _copy_cases():
     for rule in datasets.TERC_RULES:
-        for dataset_id in DISCRETE_IDS:
+        for dataset_id in POPULATION_IDS:
             marks = ()
             if dataset_id == "sg":
                 marks = pytest.mark.xfail(reason="selection drops the copied feature and its copy")

@@ -41,7 +41,7 @@ from pidf import (
     run_pidf,
     select_features,
 )
-from pidf import estimators
+from pidf import estimators, types
 from pidf.estimators import (
     _KsgSample,
     _MineSample,
@@ -90,7 +90,7 @@ class TestGroups:
     ], ids=repr)
     def test_ids_resolve_sorted(self, group):
         data = constant_table(3)
-        ids = estimators._resolve_group(data, group)
+        ids = types._group_ids(group, data.n_features)
         assert ids == (0, 2) and all(type(i) is int for i in ids)
 
     @pytest.mark.parametrize("group, message", [
@@ -358,10 +358,10 @@ def plugin_kinds(data):
 def plugin_columns(data, kind, group):
     """The columns of group as a plug-in estimate sees them."""
     ids = (-1,) if group is TARGET else group.indices
-    cols = estimators._columns(data, ids)
+    cols = [data.column(i) for i in ids]
     if isinstance(kind, Binned):
-        cols = [estimators._bin_column(c, k, kind.bins)
-                for c, k in zip(cols, estimators._kinds(data, ids))]
+        cols = [estimators._bin_column(c, data.kind(i), kind.bins)
+                for c, i in zip(cols, ids)]
     return cols
 
 
@@ -494,7 +494,7 @@ class TestPluginTable:
             for left, right in pairs:
                 value = estimate_mi(data, left, right, cfg).estimates[0]
                 ids = [(-1,) if g is TARGET else g.indices for g in (left, right)]
-                expected = three_entropy_mi(*(estimators._columns(data, i) for i in ids))
+                expected = three_entropy_mi(*([data.column(i) for i in g] for g in ids))
                 assert value.hex() == expected.hex(), (kind, left, right)
 
     def test_run_computes_each_group_entropy_once(self, monkeypatch):
@@ -763,13 +763,13 @@ class TestPluginTable:
 
     def test_exact_table_never_reads_a_continuous_column(self, monkeypatch):
         read = []
-        real = estimators._columns
+        real = Dataset.column
 
-        def recorded(data, ids):
-            read.extend(ids)
-            return real(data, ids)
+        def recorded(data, i):
+            read.append(i)
+            return real(data, i)
 
-        monkeypatch.setattr(estimators, "_columns", recorded)
+        monkeypatch.setattr(Dataset, "column", recorded)
         rng = np.random.default_rng(5)
         bits = rng.integers(0, 2, size=(500, 2)).astype(np.float64)
         data = Dataset(
@@ -781,9 +781,9 @@ class TestPluginTable:
         )
         value = estimate_mi(data, F(0, 2), TARGET, exact_cfg()).estimates[0]
         assert value.hex() == three_entropy_mi(
-            real(data, (0, 2)), real(data, (-1,))).hex()
+            [real(data, 0), real(data, 2)], [real(data, -1)]).hex()
         value = estimate_mi(data, F(0), F(2), exact_cfg()).estimates[0]
-        assert value.hex() == three_entropy_mi(real(data, (0,)), real(data, (2,))).hex()
+        assert value.hex() == three_entropy_mi([real(data, 0)], [real(data, 2)]).hex()
         message = (
             "exact discrete estimator requires discrete columns; "
             "declare bins or use a continuous-capable estimator"

@@ -24,7 +24,6 @@ from pidf import (
 )
 from pidf.oracle import (
     ExactOracle,
-    JointTable,
     check_theorems,
     assumption_holds,
     assumption_max_violation,
@@ -55,22 +54,15 @@ def make_dataset(columns, target, cards=None, t_card=None):
 
 
 class TestJointTable:
-    def test_counts_and_n(self):
-        table = JointTable.from_rows([(0,), (0,), (1,)])
-        assert table.n == 3
-        assert dict(zip(table.outcomes, table.counts)) == {(0,): 2, (1,): 1}
+    """Entropies of a column group's joint table, as the oracle counts it."""
 
     def test_uniform_entropy(self):
-        table = JointTable.from_rows([(i,) for i in range(8)])
-        assert table.entropy() == pytest.approx(math.log(8), abs=1e-15)
+        data = make_dataset([range(8)], [0] * 8, t_card=1)
+        assert oracle_entropy(data, F(0)) == pytest.approx(math.log(8), abs=1e-15)
 
     def test_constant_entropy_zero(self):
-        table = JointTable.from_rows([(3, 1)] * 10)
-        assert table.entropy() == 0.0
-
-    def test_probabilities_sum_to_one(self):
-        table = JointTable.from_rows([(0,), (1,), (1,), (2,)])
-        assert math.fsum(table.probabilities.values()) == pytest.approx(1.0)
+        data = make_dataset([[3] * 10, [1] * 10], [0] * 10, t_card=1)
+        assert oracle_entropy(data, F(0, 1)) == 0.0
 
 
 class TestExactOracle:

@@ -30,7 +30,7 @@ from pidf import (
     theta,
 )
 from pidf import estimators
-from pidf.datasets import TERC_RULES
+from pidf.datasets import POPULATION_IDS, TERC_RULES
 
 LN2 = math.log(2.0)
 SEEDS = (0, 1, 2)
@@ -384,9 +384,6 @@ class TestRunOnPairsum:
         # the single removal is the exact copy f2, charged -theta = ln2
         assert tuple(j for j, _ in r0.fwr_contributions) == (2,)
         assert r0.fwr_contributions[0][1].mean == pytest.approx(LN2, abs=1e-12)
-
-
-POPULATION_IDS = ("rvq", "svq", "msq", "terc1", "terc2", "pairsum", "sg")
 
 
 @pytest.mark.parametrize("terc_rule", TERC_RULES)

@@ -1,6 +1,9 @@
 """Core value-object behavior: subsets, ensembles, datasets, result records."""
 
+import dataclasses
+import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from pidf import (
     BITS,
     NATS,
+    TARGET,
     ColumnKind,
     Confusion,
     ConfigError,
@@ -15,10 +19,24 @@ from pidf import (
     DatasetError,
     EstimateEnsemble,
     FeatureSubset,
+    MiCache,
     PidfFeatureResult,
     PidfReport,
+    brute_force_fws,
+    confusion_counts,
     convert_units,
+    default_config,
+    duplicate_feature,
+    estimate_mi,
     infer_kinds,
+    oracle_entropy,
+    oracle_mi,
+    oracle_theta,
+    population_table,
+    render_json,
+    run_pidf,
+    select_features,
+    theta,
     validate_dataset,
 )
 
@@ -174,6 +192,15 @@ class TestDatasetValidation:
                 target_kind=ColumnKind.discrete(1),
             )
 
+    def test_seed_is_a_plain_int(self):
+        data = population_table("rvq")
+        seeded = dataclasses.replace(data, seed=np.int64(3))
+        assert type(seeded.seed) is int
+        assert json.loads(render_json(run_pidf(seeded)))["dataset"]["seed"] == 3
+        for seed in (2.5, True):
+            with pytest.raises(ConfigError):
+                dataclasses.replace(data, seed=seed)
+
     def test_discrete_range_enforced(self):
         with pytest.raises(DatasetError):
             Dataset(
@@ -254,3 +281,38 @@ class TestPidfFeatureResult:
 def test_confusion_tuple():
     c = Confusion(tp=2, fp=0, tn=1, fn=0)
     assert c.as_tuple == (2, 0, 1, 0)
+
+
+# Each public call that takes column indices, with index v passed in place
+# of a valid one, on the rvq population table.
+_INDEX_CALLS = {
+    "FeatureSubset": lambda rvq, v: FeatureSubset((v, 1)),
+    "estimate_mi": lambda rvq, v: estimate_mi(rvq.data, [v], TARGET, rvq.cfg),
+    "MiCache.mi": lambda rvq, v: MiCache(rvq.data, rvq.cfg).mi(TARGET, [v]),
+    "theta feature": lambda rvq, v: theta(rvq.data, v, 2, (), rvq.cfg),
+    "theta candidate": lambda rvq, v: theta(rvq.data, 0, v, (), rvq.cfg),
+    "theta context": lambda rvq, v: theta(rvq.data, 0, 2, [v], rvq.cfg),
+    "brute_force_fws": lambda rvq, v: brute_force_fws(rvq.data, v, rvq.cfg),
+    "confusion_counts": lambda rvq, v: confusion_counts(rvq.selection, [v, 1]),
+    "oracle_entropy": lambda rvq, v: oracle_entropy(rvq.data, [v]),
+    "oracle_mi": lambda rvq, v: oracle_mi(rvq.data, [v], TARGET),
+    "oracle_theta i": lambda rvq, v: oracle_theta(rvq.data, v, 2),
+    "oracle_theta j": lambda rvq, v: oracle_theta(rvq.data, 0, v),
+    "oracle_theta context": lambda rvq, v: oracle_theta(rvq.data, 0, 2, [v]),
+    "duplicate_feature": lambda rvq, v: duplicate_feature(rvq.data, v),
+}
+
+
+@pytest.fixture(scope="module")
+def rvq():
+    data = population_table("rvq")
+    cfg = default_config(data, repetitions=1)
+    return SimpleNamespace(data=data, cfg=cfg, selection=select_features(run_pidf(data, cfg)))
+
+
+@pytest.mark.parametrize("call", _INDEX_CALLS)
+@pytest.mark.parametrize("index", [0.7, "1", math.nan], ids=repr)
+def test_column_indices_must_be_whole_numbers(rvq, call, index):
+    with pytest.raises(ConfigError) as err:
+        _INDEX_CALLS[call](rvq, index)
+    assert str(err.value) == f"column index {index!r} is not an integer"
