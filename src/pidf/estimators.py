@@ -79,36 +79,32 @@ class Binned:
 class Ksg:
     """k-nearest-neighbor MI estimator (variant 1, Chebyshev metric).
 
-    Each repetition works on a row subsample of the given fraction and
-    adds tiny seeded jitter per column to break ties; the subsample is
-    shared by every estimate within the repetition.
+    Each repetition works on a 30% row subsample and adds seeded jitter of
+    1e-9 column stds per column to break ties; the subsample is shared by
+    every estimate within the repetition. Only k is settable.
     """
 
     k: int = 3
-    subsample: float = 0.3
-    jitter: float = 1e-9
+    subsample: float = field(default=0.3, init=False)
+    jitter: float = field(default=1e-9, init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", require_integer(self.k, "k"))
         if self.k < 1:
             raise ConfigError("ksg estimator needs k >= 1")
-        if not 0.0 < self.subsample <= 1.0:
-            raise ConfigError("ksg subsample fraction must be in (0, 1]")
-        if self.jitter < 0.0:
-            raise ConfigError("ksg jitter must be >= 0")
 
 
 @dataclass(frozen=True)
 class MineConfig:
-    """Training hyperparameters for the neural estimator."""
+    """Training hyperparameters for the neural estimator; Adam's betas and eps are fixed."""
 
     batch_size: int = 1000
     iterations: int = 20000
     learning_rate: float = 1e-4
     hidden: int = 50
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
+    beta1: float = field(default=0.9, init=False)
+    beta2: float = field(default=0.999, init=False)
+    adam_eps: float = field(default=1e-8, init=False)
 
     def __post_init__(self) -> None:
         for name in ("batch_size", "iterations", "hidden"):
@@ -546,8 +542,6 @@ def _jittered(col: np.ndarray, col_id: int, jitter: float,
               rep_seed: int) -> np.ndarray:
     """Add tie-breaking noise to a whole column, keyed by (repetition, column
     id) and scaled by the column's std."""
-    if jitter == 0.0:
-        return col
     scale = float(np.std(col))
     if scale == 0.0:
         scale = 1.0

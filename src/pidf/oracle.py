@@ -49,7 +49,6 @@ class ExactOracle:
                 name = "target" if i == _TARGET_ID else repr(data.feature_names[i])
                 raise OracleUnsupportedError(
                     f"oracle requires discrete columns; {name} is continuous")
-        self.n_features = data.n_features
         self._n = data.n_samples
         self._columns: dict[int, tuple[int, ...]] = {
             i: tuple(int(v) for v in data.column(i))
@@ -171,7 +170,6 @@ class OracleFeature:
     mi: float
     fws: float
     maximizers: tuple[FeatureSubset, ...]
-    ii_full: float
     fwr: float
     mci: float
     oci: float
@@ -211,7 +209,6 @@ def oracle_pidf(data: Dataset) -> OraclePidf:
                 mi=mi,
                 fws=fws,
                 maximizers=maximizers,
-                ii_full=ii_full,
                 fwr=fwr,
                 mci=mci,
                 oci=oci,
@@ -234,8 +231,6 @@ class TheoremReport:
 
     max_identity_residual: float
     bound_violations: int
-    max_lower_excess: float
-    max_upper_excess: float
     n_theta_checked: int
 
 
@@ -253,8 +248,6 @@ def check_theorems(data: Dataset) -> TheoremReport:
         max_residual = max(max_residual, abs((feat.mci - feat.fwr) - direct))
 
     violations = 0
-    max_lower_excess = 0.0
-    max_upper_excess = 0.0
     n_checked = 0
     for i in all_features:
         h_i = oracle.entropy({i})
@@ -268,17 +261,11 @@ def check_theorems(data: Dataset) -> TheoremReport:
             for context in _power_set(others):
                 value = oracle.theta(i, j, frozenset(context))
                 n_checked += 1
-                lower_excess = lower - value
-                upper_excess = value - upper
-                if lower_excess > TOLERANCE or upper_excess > TOLERANCE:
+                if lower - value > TOLERANCE or value - upper > TOLERANCE:
                     violations += 1
-                max_lower_excess = max(max_lower_excess, lower_excess)
-                max_upper_excess = max(max_upper_excess, upper_excess)
     return TheoremReport(
         max_identity_residual=max_residual,
         bound_violations=violations,
-        max_lower_excess=max_lower_excess,
-        max_upper_excess=max_upper_excess,
         n_theta_checked=n_checked,
     )
 

@@ -258,18 +258,18 @@ def brute_force_fws(
     data: Dataset,
     feature: int,
     cfg: EstimatorConfig | None = None,
-    cap: int = _POWER_SET_CAP,
 ) -> tuple[EstimateEnsemble, tuple[FeatureSubset, ...]]:
     """Exhaustive synergy maximum over the power set of the other features.
 
     Returns the maximizing ensemble and every subset whose mean ties the
     maximum within ``TOLERANCE``, ordered by subset size then lexicographic
     order. The empty set always competes, so the maximum mean is >= 0 for
-    estimators without negative noise.
+    estimators without negative noise. Refuses more than 15 features, as
+    ``oracle_pidf`` does.
     """
     if cfg is None:
         cfg = default_config(data)
-    _require_cap(data, cap, "exhaustive search")
+    _require_cap(data, _POWER_SET_CAP, "exhaustive search")
     (feature,) = _group_ids((feature,), data.n_features)
     cache = MiCache(data, cfg)
     rest = [j for j in range(data.n_features) if j != feature]

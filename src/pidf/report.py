@@ -12,7 +12,6 @@ import hashlib
 import json
 import warnings
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -142,18 +141,25 @@ def render_json(
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _escape(text: str) -> str:
+    """Text as XML character data; column names come from CSV headers.
+    xml.sax.saxutils.escape does the same, but its import loads
+    urllib.request and would slow every CLI start."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _svg_text(x: float, y: float, text: str, size: int = 11, anchor: str = "middle") -> str:
     return (
         f'<text x="{x:.1f}" y="{y:.1f}" font-size="{size}" '
         f'font-family="sans-serif" text-anchor="{anchor}" '
-        f'fill="{AXIS_COLOR}">{text}</text>'
+        f'fill="{AXIS_COLOR}">{_escape(text)}</text>'
     )
 
 
 def _svg_rect(x: float, y: float, w: float, h: float, color: str, title: str) -> str:
     return (
         f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" '
-        f'fill="{color}"><title>{title}</title></rect>'
+        f'fill="{color}"><title>{_escape(title)}</title></rect>'
     )
 
 

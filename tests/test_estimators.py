@@ -1199,6 +1199,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             INTEGER_FIELDS[field](value)
 
+    @pytest.mark.parametrize("build", [
+        lambda: Ksg(subsample=0.5),
+        lambda: Ksg(jitter=0.0),
+        lambda: MineConfig(beta1=0.5),
+        lambda: MineConfig(beta2=0.5),
+        lambda: MineConfig(adam_eps=1e-6),
+    ], ids=["subsample", "jitter", "beta1", "beta2", "adam_eps"])
+    def test_fixed_settings_are_not_settable(self, build):
+        with pytest.raises(TypeError):
+            build()
+
     @pytest.mark.parametrize("kind", ["binned", "ksg", "mine"])
     def test_numpy_integers_render_as_ints(self, kind):
         def report(num):

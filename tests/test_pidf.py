@@ -452,9 +452,12 @@ class TestBruteForce:
             assert report.results[idx].fws.mean <= best.mean + 1e-9
 
     def test_cap(self):
-        data = population_table("terc1")
+        from test_plugin_pins import binary_table
+
         with pytest.raises(SubsetCapError):
-            brute_force_fws(data, 0, cap=3)
+            brute_force_fws(binary_table(50, 16, 0), 0)
+        with pytest.raises(TypeError):
+            brute_force_fws(population_table("terc1"), 0, cap=3)
 
     def test_bad_feature(self):
         data = population_table("rvq")

@@ -11,10 +11,16 @@ import pytest
 
 from pidf import (
     BITS,
+    Binned,
     ColumnKind,
     ConfigError,
     DatasetError,
+    EstimatorConfig,
+    ExactDiscrete,
     GeneratorSpec,
+    Ksg,
+    Mine,
+    MineConfig,
     dataset_fingerprint,
     generate,
     population_table,
@@ -83,6 +89,29 @@ class TestPayload:
         text = render_json(report, selection, fingerprint=dataset_fingerprint(data))
         back = json.loads(text)
         assert back["dataset"]["fingerprint"] == dataset_fingerprint(data)
+
+
+# Every estimator kind with the config.estimator its report carries. The
+# fixed settings (ksg's subsample and jitter, MINE's Adam constants) are
+# reported although no constructor takes them.
+ESTIMATOR_PAYLOADS = [
+    (ExactDiscrete(), {"kind": "exact"}),
+    (Binned(), {"kind": "binned", "bins": 8}),
+    (Ksg(), {"kind": "ksg", "k": 3, "subsample": 0.3, "jitter": 1e-9}),
+    (Mine(MineConfig(batch_size=4, iterations=2, hidden=2)), {
+        "kind": "mine",
+        "config": {"batch_size": 4, "iterations": 2, "learning_rate": 1e-4,
+                   "hidden": 2, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8},
+    }),
+]
+
+
+@pytest.mark.parametrize("kind,expected", ESTIMATOR_PAYLOADS,
+                         ids=["exact", "binned", "ksg", "mine"])
+def test_estimator_payload(kind, expected):
+    data = generate(GeneratorSpec("rvq", 20, 0))
+    report = run_pidf(data, EstimatorConfig(kind=kind, repetitions=1))
+    assert json.loads(render_json(report))["config"]["estimator"] == expected
 
 
 class TestJsonDeterminism:
@@ -172,6 +201,19 @@ class TestSvg:
         assert svg.startswith("<svg ")
         assert svg.rstrip().endswith("</svg>")
         ET.fromstring(svg)
+
+    def test_names_are_escaped(self, tmp_path):
+        # CSV headers reach the chart's labels and tooltips as they are.
+        path = tmp_path / "marked.csv"
+        path.write_text("a&b,c<d,target\n0,1,1\n1,0,1\n1,1,0\n0,0,0\n")
+        report = run_pidf(read_csv(path))
+        svg = render_svg(report, select_features(report))
+        root = ET.fromstring(svg)
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        titles = [el.text for el in root.iter("{http://www.w3.org/2000/svg}title")]
+        assert {"a&b", "c<d"} <= {t.removesuffix(" *") for t in texts}
+        assert "a&b MI = " in titles[0] and "c<d MI = " in titles[3]
+        assert "a&amp;b" in svg and "c&lt;d" in svg
 
 
 class TestCsv:
