@@ -232,8 +232,6 @@ def _task_map(calls: int):
 
 def cmd_bench(args: argparse.Namespace) -> int:
     for dataset_id in args.datasets:
-        if dataset_id not in datasets.GROUND_TRUTH:
-            raise ConfigError(f"dataset {dataset_id!r} has no ground truth")
         # The terc ground truth is the all_equal rule's: under pair, f0 is noise.
         if args.terc_rule == "pair" and dataset_id in ("terc1", "terc2"):
             raise ConfigError(

@@ -32,18 +32,6 @@ from .types import (
     require_integer,
 )
 
-DATASET_IDS = (
-    "rvq",
-    "svq",
-    "msq",
-    "wt",
-    "terc1",
-    "terc2",
-    "ubr",
-    "sg",
-    "pairsum",
-)
-
 BENCHMARK_IDS = ("rvq", "svq", "msq", "wt", "terc1", "terc2", "ubr", "sg")
 
 TERC_RULES = ("all_equal", "pair")
@@ -59,6 +47,8 @@ GROUND_TRUTH: dict[str, FeatureSubset] = {
     "sg": FeatureSubset.of(0, 1, 2),
     "pairsum": FeatureSubset.of(0, 1),
 }
+
+DATASET_IDS = tuple(GROUND_TRUTH)
 
 
 def _require_known(value: str, choices: tuple[str, ...], what: str) -> None:

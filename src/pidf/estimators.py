@@ -524,29 +524,29 @@ def _narrow(col: np.ndarray) -> tuple[np.ndarray, int]:
     return col.astype(np.min_scalar_type(-radix)), radix
 
 
-def subsample_rows(n: int, fraction: float, rep_seed: int) -> np.ndarray:
-    """Row indices of one repetition's subsample (sorted, without replacement).
+def subsample_rows(n: int, rep_seed: int) -> np.ndarray:
+    """Row indices of one repetition's subsample, ``Ksg.subsample`` of the n
+    rows (sorted, without replacement).
 
     Keyed only by the repetition seed, so every estimate computed within a
     repetition sees the same rows and differences of estimates cancel their
     shared sampling noise.
     """
-    m = max(1, int(round(fraction * n)))
+    m = max(1, int(round(Ksg.subsample * n)))
     if m >= n:
         return np.arange(n)
     rng = philox(rep_seed, _PURPOSE_SUBSAMPLE | 1)
     return np.sort(rng.choice(n, size=m, replace=False))
 
 
-def _jittered(col: np.ndarray, col_id: int, jitter: float,
-              rep_seed: int) -> np.ndarray:
-    """Add tie-breaking noise to a whole column, keyed by (repetition, column
-    id) and scaled by the column's std."""
+def _jittered(col: np.ndarray, col_id: int, rep_seed: int) -> np.ndarray:
+    """Add tie-breaking noise of ``Ksg.jitter`` column stds to a whole column,
+    keyed by (repetition, column id)."""
     scale = float(np.std(col))
     if scale == 0.0:
         scale = 1.0
     rng = philox(rep_seed, _PURPOSE_JITTER | (col_id + 1))
-    return col + jitter * scale * rng.standard_normal(col.shape[0])
+    return col + Ksg.jitter * scale * rng.standard_normal(col.shape[0])
 
 
 class _KsgSample:
@@ -576,10 +576,10 @@ class _KsgSample:
         if col is None:
             rows = self._rows.get(rep_seed)
             if rows is None:
-                rows = subsample_rows(self.data.n_samples, self.kind.subsample, rep_seed)
+                rows = subsample_rows(self.data.n_samples, rep_seed)
                 self._rows[rep_seed] = rows
             whole = self.data.column(col_id)
-            col = _jittered(whole, col_id, self.kind.jitter, rep_seed)[rows]
+            col = _jittered(whole, col_id, rep_seed)[rows]
             self._columns[rep_seed, col_id] = col
         return col
 

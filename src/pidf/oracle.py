@@ -164,15 +164,22 @@ def _ties(values: Sequence[float]) -> tuple[float, list[int]]:
 
 @dataclass(frozen=True)
 class OracleFeature:
-    """Definitional per-feature decomposition, from exhaustive enumeration."""
+    """Definitional per-feature decomposition, from exhaustive enumeration;
+    ``mci`` and ``oci`` are read from ``mi``, ``fws`` and ``fwr``."""
 
     index: int
     mi: float
     fws: float
     maximizers: tuple[FeatureSubset, ...]
     fwr: float
-    mci: float
-    oci: float
+
+    @property
+    def mci(self) -> float:
+        return self.mi + self.fws
+
+    @property
+    def oci(self) -> float:
+        return self.mci - self.fwr
 
 
 @dataclass(frozen=True)
@@ -199,19 +206,13 @@ def oracle_pidf(data: Dataset) -> OraclePidf:
         subsets = tuple(_power_set(rest))
         fws, ties = _ties([oracle.interaction(i, subset) for subset in subsets])
         maximizers = tuple(FeatureSubset(subsets[k]) for k in ties)
-        ii_full = oracle.interaction(i, rest)
-        fwr = fws - ii_full
-        mci = mi + fws
-        oci = mci - fwr
         out.append(
             OracleFeature(
                 index=i,
                 mi=mi,
                 fws=fws,
                 maximizers=maximizers,
-                fwr=fwr,
-                mci=mci,
-                oci=oci,
+                fwr=fws - oracle.interaction(i, rest),
             )
         )
     return OraclePidf(tuple(out))

@@ -177,8 +177,8 @@ def run_pidf(
 ) -> PidfReport:
     """Full decomposition pass over every feature.
 
-    Each feature's result also carries its pass: the candidate order and
-    every theta evaluation, removals included.
+    Each feature's result is built from its MI, its synergy and its pass:
+    the candidate order and every theta evaluation, removals included.
     """
     if cfg is None:
         cfg = default_config(data)
@@ -199,13 +199,10 @@ def run_pidf(
         except EstimatorError as err:
             raise EstimatorError(f"feature {name!r}: {err}") from err
         order = tuple(sorted(pairwise, key=lambda j: (-pairwise[j].mean, j)))
-        related = FeatureSubset(
-            j for j in order if significantly_positive(pairwise[j], alpha, eps_zero)
-        )
         surviving = [j for j in range(n_features) if j != i]
         evaluations = []
         for j in order:
-            if j not in related:
+            if not significantly_positive(pairwise[j], alpha, eps_zero):
                 continue
             context = FeatureSubset(k for k in surviving if k != j)
             try:
@@ -218,25 +215,18 @@ def run_pidf(
             evaluations.append(ThetaEvaluation(j, context, th, verdict))
             if verdict:
                 surviving.remove(j)
-        pms = FeatureSubset(surviving)
+        partners = tuple(surviving)
         try:
-            joint = cache.mi(TARGET, _with(pms.indices, i))
-            partners_only = cache.mi(TARGET, pms.indices)
+            joint = cache.mi(TARGET, _with(partners, i))
+            partners_only = cache.mi(TARGET, partners)
         except EstimatorError as err:
             raise EstimatorError(f"feature {name!r}: {err}") from err
-        removals = sorted((ev for ev in evaluations if ev.redundant),
-                          key=operator.attrgetter("candidate"))
         results.append(
             PidfFeatureResult(
                 index=i,
                 name=name,
                 mi=mi_i,
                 fws=_fws(joint, partners_only, mi_i),
-                fwr_contributions=tuple(
-                    (ev.candidate, ev.theta.map(operator.neg)) for ev in removals
-                ),
-                max_synergy_set=pms,
-                related_set=related,
                 candidate_order=order,
                 evaluations=tuple(evaluations),
             )

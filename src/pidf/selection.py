@@ -30,8 +30,7 @@ def select_features(report: PidfReport) -> SelectionResult:
     produced with, so selection decisions stay consistent with the
     redundancy decisions already baked into it.
     """
-    n = report.n_features
-    rationales: list[str] = [""] * n
+    rationales: list[str] = [""] * report.n_features
     chosen: set[int] = set()
     phase1: set[int] = set()
     for res in report.results:
@@ -60,7 +59,6 @@ def select_features(report: PidfReport) -> SelectionResult:
         selected=FeatureSubset(chosen),
         phase1=FeatureSubset(phase1),
         rationales=tuple(rationales),
-        n_features=n,
     )
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -136,12 +137,6 @@ class FeatureSubset:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __bool__(self) -> bool:
-        return bool(self.indices)
-
-    def __or__(self, other: "FeatureSubset | Iterable[int]") -> "FeatureSubset":
-        return FeatureSubset((*self.indices, *tuple(other)))
-
     def __sub__(self, other: "FeatureSubset | Iterable[int]") -> "FeatureSubset":
         drop = set(other)
         return FeatureSubset(i for i in self.indices if i not in drop)
@@ -149,12 +144,6 @@ class FeatureSubset:
     def __and__(self, other: "FeatureSubset | Iterable[int]") -> "FeatureSubset":
         keep = set(other)
         return FeatureSubset(i for i in self.indices if i in keep)
-
-    def add(self, index: int) -> "FeatureSubset":
-        return FeatureSubset((*self.indices, index))
-
-    def remove(self, index: int) -> "FeatureSubset":
-        return FeatureSubset(i for i in self.indices if i != index)
 
     @staticmethod
     def of(*indices: int) -> "FeatureSubset":
@@ -450,26 +439,36 @@ class ThetaEvaluation:
 class PidfFeatureResult:
     """Decomposition output for one feature, with the pass that reached it.
 
-    ``fwr_contributions`` maps a removed-or-redundant partner index to the
-    theta-derived redundancy ensemble attributed to that partner (already
-    negated, so positive means redundancy). ``max_synergy_set`` is the
-    surviving partner set the synergy estimate was measured against, and
-    ``related_set`` holds the partners with significantly positive pairwise
-    MI (only these can ever substitute for the feature).
     ``candidate_order`` lists the other features in descending pairwise-MI
     order, and ``evaluations`` holds the theta decision on each related
-    candidate, in that order.
+    candidate, in that order. The partner sets and the redundancy charges
+    are read from that pass: ``related_set`` holds the evaluated candidates,
+    the partners with significantly positive pairwise MI (only these can
+    ever substitute for the feature); ``max_synergy_set`` is the candidates
+    not judged redundant, the partner set the synergy estimate was measured
+    against; and ``fwr_contributions`` maps each redundant candidate, by
+    index, to its theta negated, so positive means redundancy.
     """
 
     index: int
     name: str
     mi: EstimateEnsemble
     fws: EstimateEnsemble
-    fwr_contributions: tuple[tuple[int, EstimateEnsemble], ...]
-    max_synergy_set: FeatureSubset
-    related_set: FeatureSubset
-    candidate_order: tuple[int, ...] = ()
-    evaluations: tuple[ThetaEvaluation, ...] = ()
+    candidate_order: tuple[int, ...]
+    evaluations: tuple[ThetaEvaluation, ...]
+    related_set: FeatureSubset = field(init=False)
+    max_synergy_set: FeatureSubset = field(init=False)
+    fwr_contributions: tuple[tuple[int, EstimateEnsemble], ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        removals = sorted((ev for ev in self.evaluations if ev.redundant),
+                          key=operator.attrgetter("candidate"))
+        object.__setattr__(self, "related_set",
+                           FeatureSubset(ev.candidate for ev in self.evaluations))
+        object.__setattr__(self, "max_synergy_set", FeatureSubset(
+            self.candidate_order) - [ev.candidate for ev in removals])
+        object.__setattr__(self, "fwr_contributions", tuple(
+            (ev.candidate, ev.theta.map(operator.neg)) for ev in removals))
 
     @property
     def mi_value(self) -> float:
@@ -539,7 +538,11 @@ class SelectionResult:
     selected: FeatureSubset
     phase1: FeatureSubset
     rationales: tuple[str, ...]
-    n_features: int
+
+    @property
+    def n_features(self) -> int:
+        """The report's feature count: there is one rationale per feature."""
+        return len(self.rationales)
 
 
 @dataclass(frozen=True)

@@ -285,13 +285,6 @@ class TestBench:
         assert (code, out) == (2, "")
         assert "no ground truth under --terc-rule pair" in err
 
-    def test_no_truth_dataset(self, capsys, monkeypatch):
-        truth = {k: v for k, v in cli.datasets.GROUND_TRUTH.items() if k != "pairsum"}
-        monkeypatch.setattr(cli.datasets, "GROUND_TRUTH", truth)
-        code, _, err = run_cli(capsys, "bench", "--datasets", "pairsum")
-        assert code == 2
-        assert "ground truth" in err
-
 
 class TestEstimatorFlag:
     @pytest.mark.parametrize("name", [n for n in cli.ESTIMATOR_NAMES if n != "auto"])

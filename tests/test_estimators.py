@@ -867,13 +867,13 @@ class TestKsg:
         jittered, subsampled = [], []
         real_jittered, real_subsample = estimators._jittered, estimators.subsample_rows
 
-        def counted_jittered(col, col_id, jitter, rep_seed):
+        def counted_jittered(col, col_id, rep_seed):
             jittered.append((rep_seed, col_id))
-            return real_jittered(col, col_id, jitter, rep_seed)
+            return real_jittered(col, col_id, rep_seed)
 
-        def counted_subsample(n, fraction, rep_seed):
+        def counted_subsample(n, rep_seed):
             subsampled.append(rep_seed)
-            return real_subsample(n, fraction, rep_seed)
+            return real_subsample(n, rep_seed)
 
         monkeypatch.setattr(estimators, "_jittered", counted_jittered)
         monkeypatch.setattr(estimators, "subsample_rows", counted_subsample)
@@ -1095,9 +1095,9 @@ class TestRepetitionPool:
         jittered = []
         real_jittered = estimators._jittered
 
-        def counted_jittered(col, col_id, jitter, rep_seed):
+        def counted_jittered(col, col_id, rep_seed):
             jittered.append((rep_seed, col_id))
-            return real_jittered(col, col_id, jitter, rep_seed)
+            return real_jittered(col, col_id, rep_seed)
 
         monkeypatch.setattr(estimators, "_jittered", counted_jittered)
         data = gaussian_table(600, 10)
@@ -1164,16 +1164,16 @@ class TestRepetitionPool:
 
 class TestSubsampling:
     def test_sorted_unique_and_deterministic(self):
-        rows = subsample_rows(100, 0.3, rep_seed=42)
-        again = subsample_rows(100, 0.3, rep_seed=42)
+        rows = subsample_rows(100, rep_seed=42)
+        again = subsample_rows(100, rep_seed=42)
         assert np.array_equal(rows, again)
         assert len(rows) == 30
         assert len(np.unique(rows)) == 30
         assert np.all(np.diff(rows) > 0)
 
     def test_different_seeds_differ(self):
-        a = subsample_rows(100, 0.3, rep_seed=1)
-        b = subsample_rows(100, 0.3, rep_seed=2)
+        a = subsample_rows(100, rep_seed=1)
+        b = subsample_rows(100, rep_seed=2)
         assert not np.array_equal(a, b)
 
 

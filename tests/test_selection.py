@@ -12,6 +12,7 @@ from pidf import (
     PidfFeatureResult,
     PidfReport,
     SelectionResult,
+    ThetaEvaluation,
     confusion_counts,
     datasets,
     population_table,
@@ -26,19 +27,19 @@ def const(value):
     return EstimateEnsemble.constant(value, SEEDS)
 
 
-def make_result(index, mi, fws=0.0, removals=(), related=(), n=4):
-    """Deterministic feature result with the given removal charges."""
-    pms = FeatureSubset(
-        j for j in range(n) if j != index and j not in (r for r, _ in removals)
-    )
+def make_result(index, mi, fws=0.0, removals=(), n=4):
+    """Deterministic feature result whose pass evaluated only the removed
+    candidates, each with its removal charge negated as its theta."""
     return PidfFeatureResult(
         index=index,
         name=f"f{index}",
         mi=const(mi),
         fws=const(fws),
-        fwr_contributions=tuple((j, const(v)) for j, v in removals),
-        max_synergy_set=pms,
-        related_set=FeatureSubset(related),
+        candidate_order=tuple(j for j in range(n) if j != index),
+        evaluations=tuple(
+            ThetaEvaluation(j, FeatureSubset(), const(-v), True)
+            for j, v in sorted(removals)
+        ),
     )
 
 
@@ -75,8 +76,8 @@ class TestPhaseOne:
         # mi 0.5 fully charged to a removal: net 0, fails the first phase
         report = make_report(
             [
-                make_result(0, mi=0.5, removals=((1, 0.5),), related=(1,)),
-                make_result(1, mi=0.5, removals=((0, 0.5),), related=(0,)),
+                make_result(0, mi=0.5, removals=((1, 0.5),)),
+                make_result(1, mi=0.5, removals=((0, 0.5),)),
                 make_result(2, mi=0.0),
                 make_result(3, mi=0.0),
             ]
@@ -103,8 +104,8 @@ class TestPhaseTwo:
         # and 0 is dropped against it
         report = make_report(
             [
-                make_result(0, mi=0.5, removals=((1, 0.5),), related=(1,)),
-                make_result(1, mi=0.6, removals=((0, 0.6),), related=(0,)),
+                make_result(0, mi=0.5, removals=((1, 0.5),)),
+                make_result(1, mi=0.6, removals=((0, 0.6),)),
                 make_result(2, mi=0.0),
                 make_result(3, mi=0.0),
             ]
@@ -120,8 +121,8 @@ class TestPhaseTwo:
     def test_mci_tie_breaks_by_index(self):
         report = make_report(
             [
-                make_result(0, mi=0.5, removals=((1, 0.5),), related=(1,)),
-                make_result(1, mi=0.5, removals=((0, 0.5),), related=(0,)),
+                make_result(0, mi=0.5, removals=((1, 0.5),)),
+                make_result(1, mi=0.5, removals=((0, 0.5),)),
                 make_result(2, mi=0.0),
                 make_result(3, mi=0.0),
             ]
@@ -149,11 +150,9 @@ class TestPhaseTwo:
         # 2 relates to 1, but 1 itself was dropped against 0, so 2 enters
         report = make_report(
             [
-                make_result(0, mi=0.7, removals=((1, 0.7),), related=(1,)),
-                make_result(
-                    1, mi=0.6, removals=((0, 0.4), (2, 0.2)), related=(0, 2)
-                ),
-                make_result(2, mi=0.1, removals=((1, 0.1),), related=(1,)),
+                make_result(0, mi=0.7, removals=((1, 0.7),)),
+                make_result(1, mi=0.6, removals=((0, 0.4), (2, 0.2))),
+                make_result(2, mi=0.1, removals=((1, 0.1),)),
                 make_result(3, mi=0.0),
             ]
         )
@@ -197,7 +196,6 @@ def selection_of(selected, n_features):
         selected=FeatureSubset(selected),
         phase1=FeatureSubset(selected),
         rationales=("",) * n_features,
-        n_features=n_features,
     )
 
 
@@ -216,7 +214,6 @@ class TestConfusionCounts:
             selected=FeatureSubset.of(0),
             phase1=FeatureSubset.of(0),
             rationales=("kept", "", ""),
-            n_features=3,
         )
         conf = confusion_counts(sel, FeatureSubset.of(0, 1))
         assert conf.as_tuple == (1, 0, 1, 1)
@@ -236,9 +233,8 @@ class TestCustomThresholds:
             name="f0",
             mi=borderline,
             fws=const(0.0),
-            fwr_contributions=(),
-            max_synergy_set=FeatureSubset.of(1),
-            related_set=FeatureSubset.of(),
+            candidate_order=(1,),
+            evaluations=(),
         )
         other = make_result(1, mi=0.0, n=2)
         report = make_report([result, other])

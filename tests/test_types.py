@@ -20,8 +20,11 @@ from pidf import (
     EstimateEnsemble,
     FeatureSubset,
     MiCache,
+    OracleFeature,
     PidfFeatureResult,
     PidfReport,
+    SelectionResult,
+    ThetaEvaluation,
     brute_force_fws,
     confusion_counts,
     convert_units,
@@ -62,7 +65,6 @@ class TestFeatureSubset:
     def test_set_algebra(self):
         a = FeatureSubset([0, 1])
         b = FeatureSubset([1, 2])
-        assert (a | b).indices == (0, 1, 2)
         assert (a - b).indices == (0,)
         assert (a & b).indices == (1,)
 
@@ -73,12 +75,6 @@ class TestFeatureSubset:
         assert len(s) == 2
         assert bool(s)
         assert not FeatureSubset()
-
-    def test_add_remove(self):
-        s = FeatureSubset.of(1)
-        assert s.add(0).indices == (0, 1)
-        assert s.add(1).indices == (1,)
-        assert s.remove(1).indices == ()
 
     def test_negative_index_rejected(self):
         with pytest.raises(ConfigError):
@@ -233,18 +229,21 @@ class TestInferKinds:
             validate_dataset(np.zeros((2, 2)), ["a", "b"], target="y")
 
 
-def _result(index, mi, fws, contributions=(), related=()):
+def _result(index, mi, fws, contributions=()):
+    """A result whose pass judged each contribution's candidate redundant,
+    with the negated contribution as its theta."""
     seeds = (0, 1)
+    evaluations = tuple(
+        ThetaEvaluation(j, FeatureSubset(), EstimateEnsemble.constant(-v, seeds), True)
+        for j, v in contributions
+    )
     return PidfFeatureResult(
         index=index,
         name=f"f{index}",
         mi=EstimateEnsemble.constant(mi, seeds),
         fws=EstimateEnsemble.constant(fws, seeds),
-        fwr_contributions=tuple(
-            (j, EstimateEnsemble.constant(v, seeds)) for j, v in contributions
-        ),
-        max_synergy_set=FeatureSubset(),
-        related_set=FeatureSubset(related),
+        candidate_order=tuple(j for j, _ in contributions),
+        evaluations=evaluations,
     )
 
 
@@ -264,6 +263,36 @@ class TestPidfFeatureResult:
         res = _result(0, 0.5, 0.1, contributions=[(1, -0.05)])
         assert res.net_ensemble().mean == pytest.approx(0.65)
 
+    def _pass_result(self, evaluations):
+        seeds = (0, 1)
+        return PidfFeatureResult(
+            index=0,
+            name="f0",
+            mi=EstimateEnsemble.constant(0.5, seeds),
+            fws=EstimateEnsemble.constant(0.1, seeds),
+            candidate_order=(3, 1, 4, 2),
+            evaluations=tuple(
+                ThetaEvaluation(j, FeatureSubset(), EstimateEnsemble.constant(t, seeds), r)
+                for j, t, r in evaluations
+            ),
+        )
+
+    def test_partner_sets_and_charges_are_read_from_the_pass(self):
+        res = self._pass_result([(3, -0.2, True), (1, 0.05, False), (4, -0.1, True)])
+        assert res.related_set == FeatureSubset.of(1, 3, 4)
+        assert res.max_synergy_set == FeatureSubset.of(1, 2)
+        assert [(j, ens.estimates) for j, ens in res.fwr_contributions] == [
+            (3, (0.2, 0.2)),
+            (4, (0.1, 0.1)),
+        ]
+
+    def test_replaced_pass_recomputes_the_views(self):
+        res = self._pass_result([(3, -0.2, True), (1, 0.05, False), (4, -0.1, True)])
+        shorter = dataclasses.replace(res, evaluations=res.evaluations[:2])
+        assert shorter.related_set == FeatureSubset.of(1, 3)
+        assert shorter.max_synergy_set == FeatureSubset.of(1, 2, 4)
+        assert [j for j, _ in shorter.fwr_contributions] == [3]
+
     def test_report_requires_index_order(self):
         results = (_result(1, 0.0, 0.0),)
         with pytest.raises(ConfigError):
@@ -276,6 +305,43 @@ class TestPidfFeatureResult:
                 alpha=0.05,
                 eps_zero=0.01,
             )
+
+
+# Each result record, the keyword arguments it takes, and the values it
+# derives from them.
+_RECORDS = [
+    (
+        PidfFeatureResult,
+        {
+            "index": 0,
+            "name": "f0",
+            "mi": EstimateEnsemble.constant(0.5, (0,)),
+            "fws": EstimateEnsemble.constant(0.0, (0,)),
+            "candidate_order": (),
+            "evaluations": (),
+        },
+        ("related_set", "max_synergy_set", "fwr_contributions"),
+    ),
+    (
+        OracleFeature,
+        {"index": 0, "mi": 0.5, "fws": 0.1, "maximizers": (), "fwr": 0.2},
+        ("mci", "oci"),
+    ),
+    (
+        SelectionResult,
+        {"selected": FeatureSubset(), "phase1": FeatureSubset(), "rationales": ("",)},
+        ("n_features",),
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, derived", _RECORDS,
+                         ids=[cls.__name__ for cls, _, _ in _RECORDS])
+def test_derived_values_cannot_be_passed_in(cls, kwargs, derived):
+    made = cls(**kwargs)
+    for name in derived:
+        with pytest.raises(TypeError):
+            cls(**kwargs, **{name: getattr(made, name)})
 
 
 def test_confusion_tuple():
