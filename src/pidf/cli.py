@@ -342,7 +342,7 @@ def _add_estimation_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--alpha", type=float, default=DEFAULT_ALPHA,
-        help="significance level for redundancy decisions (default %(default)s)",
+        help="significance level of each decision, in (0, 0.5] (default %(default)s)",
     )
     parser.add_argument(
         "--eps-zero", dest="eps_zero", type=float, default=DEFAULT_EPS_ZERO,

@@ -243,27 +243,21 @@ def duplicate_feature(data: Dataset, index: int) -> Dataset:
 
 
 def _sg_population() -> Dataset:
-    feats = []
-    target = []
-    for y, both_weight in ((0, 57), (1, 3)):
-        # 300 rows per label. A state of weight w yields 5w rows (the
-        # marker gene splits them 1:4 for y=0, 4:1 for y=1), so the
-        # favored (1,1) state holds 285 of 300 rows when y=0 (p=0.95)
-        # and 15 when y=1, and each other state gets a third of the rest.
-        marker_one = 1 if y == 0 else 4
-        marker_zero = 5 - marker_one
-        states = [((1.0, 1.0), both_weight)] + [
-            (s, (60 - both_weight) // 3) for s in _SG_OTHER_STATES
-        ]
-        for (a, b), weight in states:
-            for marker, count in ((1.0, weight * marker_one), (0.0, weight * marker_zero)):
-                feats.extend([(a, b, marker)] * count)
-                target.extend([float(y)] * count)
+    # The 16 (a, b, marker, y) states, y slowest and marker fastest, each
+    # repeated by its count. 300 rows per label. An (a, b) state of weight
+    # w yields 5w rows (the marker gene splits them 1:4 for y=0, 4:1 for
+    # y=1), so the favored (1,1) state holds 285 of 300 rows when y=0
+    # (p=0.95) and 15 when y=1, and each other state gets a third of the rest.
+    states = np.array([
+        (a, b, marker, y) for y in (0.0, 1.0)
+        for a, b in ((1.0, 1.0), *_SG_OTHER_STATES) for marker in (1.0, 0.0)
+    ])
+    weights = np.array([[57, 1, 1, 1], [3, 19, 19, 19]])
+    splits = np.array([[1, 4], [4, 1]])
+    counts = (weights[:, :, None] * splits[:, None, :]).ravel()
+    a, b, marker, y = np.repeat(states.T, counts, axis=1)
     bern = ColumnKind.discrete(2)
-    return _dataset(
-        [np.asarray(feats, dtype=np.float64)], np.asarray(target, dtype=np.float64),
-        (bern,) * 3, bern, None, "population:sg",
-    )
+    return _dataset([a, b, marker], y, (bern,) * 3, bern, None, "population:sg")
 
 
 def population_table(dataset: str, terc_rule: str = "all_equal") -> Dataset:

@@ -687,24 +687,22 @@ def _windows(ordered: np.ndarray,
     column) that holds the s with |ordered[s] - ordered[t]| <= radius[t].
 
     Differences are rounded as the tree rounds them, and fl(u - v) is
-    monotone in u, so each ball is a run of the sorted distinct values.
-    searchsorted on v -+ r guesses the run's ends, fastest with the v in
-    sorted order; rounding can put a guess a step or two off, and
-    _prefix_end moves it to where the rounded difference puts it.
+    monotone in u, so each ball is a run of sorted positions. searchsorted
+    on v -+ r guesses the run's ends, fastest with the v in sorted order;
+    rounding can put a guess a step or two off (with ties, a run of them),
+    and _prefix_end steps it to where the rounded difference puts it.
     """
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    distinct = ordered[starts]
-    before = np.append(starts, ordered.shape[0])
+    size = ordered.shape[0]
     # Below the ball: fl(v - u) > r. Up to its top: fl(u - v) <= r.
     lo = _prefix_end(
-        np.searchsorted(distinct, ordered - radius, "left"), distinct.shape[0],
-        lambda j, t: ordered[t] - distinct[j] > radius[t],
+        np.searchsorted(ordered, ordered - radius, "left"), size,
+        lambda j, t: ordered[t] - ordered[j] > radius[t],
     )
     hi = _prefix_end(
-        np.searchsorted(distinct, ordered + radius, "right"), distinct.shape[0],
-        lambda j, t: distinct[j] - ordered[t] <= radius[t],
+        np.searchsorted(ordered, ordered + radius, "right"), size,
+        lambda j, t: ordered[j] - ordered[t] <= radius[t],
     )
-    return before[lo], before[hi]
+    return lo, hi
 
 
 def _prefix_end(end: np.ndarray, size: int, holds) -> np.ndarray:

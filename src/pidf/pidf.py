@@ -28,8 +28,8 @@ from .types import (
     PidfReport,
     ThetaEvaluation,
     _group_ids,
+    require_alpha,
     require_nonnegative,
-    require_probability,
 )
 from . import estimators
 
@@ -63,7 +63,7 @@ def significantly_positive(
     run a one-sided Student-t test of mean > 0 at level alpha; the p-value
     is the t survival function, P(T > stat) = stdtr(n - 1, -stat).
     """
-    require_probability(alpha, "alpha")
+    require_alpha(alpha)
     require_nonnegative(eps_zero, "eps_zero")
     if ensemble.is_deterministic:
         return ensemble.mean > eps_zero
@@ -182,7 +182,7 @@ def run_pidf(
     """
     if cfg is None:
         cfg = default_config(data)
-    require_probability(alpha, "alpha")
+    require_alpha(alpha)
     require_nonnegative(eps_zero, "eps_zero")
     if data.n_features < 1:
         raise ConfigError("need at least one feature")

@@ -16,9 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .types import (
-    BITS,
     NATS,
-    ConfigError,
     Dataset,
     DatasetError,
     PidfReport,
@@ -45,12 +43,6 @@ FWR_COLOR = "#9467bd"
 AXIS_COLOR = "#444444"
 
 
-def _check_units(units: str) -> str:
-    if units not in (NATS, BITS):
-        raise ConfigError(f"units must be {NATS!r} or {BITS!r}, got {units!r}")
-    return units
-
-
 def dataset_fingerprint(data: Dataset) -> str:
     """Short content hash of the numeric table, for provenance in reports."""
     digest = hashlib.sha256()
@@ -72,8 +64,8 @@ def report_payload(
     fingerprint: str | None = None,
 ) -> dict:
     """Plain-dict form of a report (plus optional selection), ready for JSON."""
-    _check_units(units)
     conv = lambda v: convert_units(v, units)
+    conv(0.0)  # refuses a bad unit before any output is built
     features = []
     for res in report.results:
         contributions = {
@@ -174,8 +166,8 @@ def render_svg(
     on top (negative synergy is drawn with zero height), and a purple
     redundancy bar beside it annotated with the contributing partner names.
     """
-    _check_units(units)
     conv = lambda v: convert_units(v, units)
+    conv(0.0)  # refuses a bad unit before any output is built
     n = report.n_features
     group_width = 2 * BAR_WIDTH + BAR_GAP
     width = MARGIN_LEFT + n * (group_width + GROUP_GAP) + MARGIN_LEFT // 2

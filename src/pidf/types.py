@@ -380,7 +380,9 @@ def infer_kinds(table: np.ndarray) -> tuple[ColumnKind, ...]:
     non-negative integers is discrete, any other continuous."""
     kinds = []
     for col in np.asarray(table, dtype=np.float64).T:
-        distinct = np.unique(col)
+        ordered = np.sort(col)
+        # Not np.unique, whose masked-array check imports numpy.ma.
+        distinct = ordered[np.diff(ordered, prepend=-np.inf) != 0]
         integral = np.array_equal(np.rint(distinct), distinct)
         if integral and distinct.size <= _DISCRETE_CAP and (
             distinct.size == 0 or distinct.min() >= 0
@@ -574,10 +576,12 @@ def require_integer(value: Any, name: str) -> int:
     return int(value)
 
 
-def require_probability(value: Any, name: str) -> float:
-    value = require_number(value, name)
-    if not 0.0 < value < 1.0:
-        raise ConfigError(f"{name} must lie strictly between 0 and 1, got {value}")
+def require_alpha(value: Any) -> float:
+    """A one-sided significance level. Above 0.5 an ensemble and its
+    negation could both be significant: positive and redundant at once."""
+    value = require_number(value, "alpha")
+    if not 0.0 < value <= 0.5:
+        raise ConfigError(f"alpha must lie in (0, 0.5], got {value}")
     return value
 
 

@@ -342,6 +342,14 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_alpha_above_half(self, capsys):
+        # Above 0.5 an ensemble and its negation can both be significant.
+        code, out, err = run_cli(
+            capsys, "analyze", "--dataset", "rvq", "--alpha", "0.7"
+        )
+        assert (code, out) == (2, "")
+        assert "alpha must lie in (0, 0.5]" in err
+
     @pytest.mark.parametrize("command", ["analyze", "bench"])
     @pytest.mark.parametrize("eps_zero", ["-1", "nan", "inf"])
     def test_bad_eps_zero(self, capsys, command, eps_zero):
@@ -444,15 +452,16 @@ class TestModuleEntry:
 
 
 def state_after(statement):
-    """The scipy modules loaded and the number of live threads in a fresh
-    interpreter after running statement, with stdout discarded."""
+    """The scipy and numpy.ma modules loaded and the number of live threads
+    in a fresh interpreter after running statement, with stdout discarded."""
     script = (
         "import contextlib, io, json, sys, threading\n"
         "from pidf import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    {statement}\n"
         "print(json.dumps([sorted(m for m in sys.modules\n"
-        "                         if m == 'scipy' or m.startswith('scipy.')),\n"
+        "                         if m.split('.')[0] == 'scipy'\n"
+        "                         or m.split('.')[:2] == ['numpy', 'ma']),\n"
         "                  threading.active_count()]))\n"
     )
     proc = subprocess.run(
@@ -463,8 +472,8 @@ def state_after(statement):
 
 
 class TestColdStart:
-    """scipy loads only where ksg or a t-test runs, so import and every
-    discrete run skip its import cost."""
+    """scipy and numpy.ma load only where ksg or a t-test runs, so import
+    and every discrete run skip their import cost."""
 
     def test_import_loads_no_scipy(self):
         assert state_after("import pidf")[0] == []
@@ -474,6 +483,14 @@ class TestColdStart:
         ["verify"],
     ])
     def test_discrete_commands_load_no_scipy(self, argv):
+        assert state_after(f"assert cli.main({argv!r}) == 0")[0] == []
+
+    def test_discrete_csv_analyze_loads_no_numpy_ma(self, capsys, tmp_path):
+        # Kind inference finds each column's distinct values without
+        # np.unique, whose masked-array check imports numpy.ma.
+        path = tmp_path / "rvq.csv"
+        run_cli(capsys, "gen", "--dataset", "rvq", "--n", "300", "--out", str(path))
+        argv = ["analyze", "--input", str(path)]
         assert state_after(f"assert cli.main({argv!r}) == 0")[0] == []
 
     def test_continuous_analyze_loads_scipy(self):

@@ -977,6 +977,27 @@ class TestBallCounts:
         np.testing.assert_array_equal(counts, tree_ball_counts(points, radius))
         np.testing.assert_array_equal(counts, [1, rows] * (rows // 2))
 
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_long_tie_runs_at_window_edges(self, cols):
+        # Five adjacent floats near 1e8, 80 rows each on average. A radius
+        # an ulp off a gap rounds v -+ r onto a neighbouring value, so the
+        # searchsorted guess of a window edge lands a whole run of ties
+        # away, and the edge must step across it one position at a time.
+        rng = np.random.default_rng(cols)
+        rows = 400
+        levels = 1e8 + np.arange(5) * np.spacing(1e8)
+        points = levels[rng.integers(0, 5, size=(rows, cols))]
+        pairs = rng.integers(0, rows, size=(2, rows))
+        dist = np.abs(points[pairs[0]] - points[pairs[1]]).max(axis=1)
+        edge = rng.integers(-1, 2, size=rows)
+        radius = np.select(
+            [edge == -1, edge == 1],
+            [np.nextafter(dist, 0.0), np.nextafter(dist, np.inf)],
+            dist,
+        )
+        np.testing.assert_array_equal(_ball_counts(points, radius),
+                                      tree_ball_counts(points, radius))
+
     @pytest.mark.parametrize("block", [None, 1, 2])
     @pytest.mark.parametrize("rows", [63, 64, 65, 127, 128, 129, 255, 256, 257])
     def test_word_and_block_edges(self, monkeypatch, rows, block):

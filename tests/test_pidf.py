@@ -106,6 +106,19 @@ class TestSignificanceRules:
         with pytest.raises(ConfigError):
             significantly_positive(ens(1.0), alpha=0.0)
 
+    def test_alpha_above_half_is_refused(self):
+        # At alpha=0.7 the first ensemble would be both significantly
+        # positive and redundant, and the second, of negative mean,
+        # significantly positive.
+        both = ens(0.004, -0.02, 0.03, -0.015, 0.003)
+        negative = ens(-0.01, 0.02, -0.03, 0.015, -0.001)
+        assert not significantly_positive(negative, alpha=0.5)
+        for e in (both, negative):
+            assert not (significantly_positive(e, 0.5) and is_redundant(e, 0.5))
+            for test in (significantly_positive, is_redundant):
+                with pytest.raises(ConfigError, match="alpha"):
+                    test(e, alpha=0.7)
+
     @pytest.mark.parametrize("eps_zero", [-1.0, math.nan, math.inf])
     def test_bad_eps_zero(self, eps_zero):
         with pytest.raises(ConfigError, match="eps_zero"):
@@ -473,6 +486,12 @@ class TestConfigHandling:
         data = population_table("rvq")
         with pytest.raises(ConfigError):
             run_pidf(data, alpha=-0.1)
+
+    def test_alpha_above_half_is_refused(self):
+        data = population_table("rvq")
+        run_pidf(data, alpha=0.5)
+        with pytest.raises(ConfigError, match="alpha"):
+            run_pidf(data, alpha=0.7)
 
     @pytest.mark.parametrize("eps_zero", [-1.0, math.nan, math.inf])
     def test_bad_eps_zero(self, eps_zero):

@@ -90,18 +90,30 @@ class TestEnsembleAlgebra:
         assert combo.estimates == pytest.approx(expected, abs=1e-12)
 
 
+ensemble_values = st.lists(
+    st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+    min_size=1, max_size=8,
+)
+
+
 class TestSignificanceMirror:
-    @given(
-        st.lists(
-            st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
-            min_size=1, max_size=8,
-        )
-    )
+    @pytest.fixture(autouse=True, scope="class")
+    def scipy_loaded(self):
+        # The first stochastic t-test imports scipy.special; load it here,
+        # so that import is not timed against an example's deadline.
+        import scipy.special  # noqa: F401
+
+    @given(ensemble_values)
     def test_redundant_is_positive_of_negation(self, values):
         ens = EstimateEnsemble(tuple(values), tuple(range(len(values))))
         neg = ens.map(operator.neg)
         assert is_redundant(ens) == significantly_positive(neg)
         assert significantly_positive(ens) == is_redundant(neg)
+
+    @given(ensemble_values, st.floats(min_value=0.0, max_value=0.5, exclude_min=True))
+    def test_never_both_positive_and_redundant(self, values, alpha):
+        ens = EstimateEnsemble(tuple(values), tuple(range(len(values))))
+        assert not (significantly_positive(ens, alpha) and is_redundant(ens, alpha))
 
 
 class TestEstimatorInvariants:

@@ -1,6 +1,7 @@
 """Serialization: JSON payload shape and byte stability, SVG geometry,
 CSV round trips."""
 
+import dataclasses
 import json
 import math
 import re
@@ -81,8 +82,12 @@ class TestPayload:
 
     def test_bad_units(self, rvq_run):
         _, report, _ = rvq_run
-        with pytest.raises(ConfigError):
-            report_payload(report, units="shannons")
+        # Refused before any output is built, also with no value to convert.
+        empty = dataclasses.replace(report, results=(), feature_names=())
+        for rep in (report, empty):
+            for render in (report_payload, render_svg):
+                with pytest.raises(ConfigError, match="'shannons'"):
+                    render(rep, units="shannons")
 
     def test_json_serializable_and_round_trips(self, rvq_run):
         data, report, selection = rvq_run
