@@ -35,12 +35,17 @@ TOLERANCE = 1e-9
 _POWER_SET_CAP = 15
 _CHECK_CAP = 10
 
+_Y = frozenset({_TARGET_ID})
+
+
 class ExactOracle:
     """Exact plug-in information quantities over one discrete dataset.
 
-    Columns are addressed by resolved id: feature index, or _TARGET_ID for
-    the target. Entropies are memoized per column-set because the
-    exhaustive enumerations below revisit the same groups many times.
+    The public methods take column groups as ``estimate_mi`` does: TARGET,
+    a FeatureSubset or whole-number feature indices. The exhaustive
+    searches below ask the private methods with resolved id sets (feature
+    index, or _TARGET_ID for the target). Entropies are memoized per
+    column set because those searches revisit the same groups many times.
     """
 
     def __init__(self, data: Dataset):
@@ -50,15 +55,53 @@ class ExactOracle:
                 raise OracleUnsupportedError(
                     f"oracle requires discrete columns; {name} is continuous")
         self._n = data.n_samples
+        self._n_features = data.n_features
         self._columns: dict[int, tuple[int, ...]] = {
             i: tuple(int(v) for v in data.column(i))
             for i in range(_TARGET_ID, data.n_features)
         }
         self._entropy_cache: dict[frozenset[int], float] = {}
 
-    def entropy(self, cols: Iterable[int]) -> float:
-        """Shannon entropy of a column group in nats, from the count of each
-        distinct row of its columns.
+    def _ids(self, group: GroupLike) -> frozenset[int]:
+        return frozenset(_group_ids(group, self._n_features))
+
+    def entropy(self, group: GroupLike) -> float:
+        """Shannon entropy of a column group, in nats."""
+        return self._entropy(self._ids(group))
+
+    def mi(self, left: GroupLike, right: GroupLike) -> float:
+        """I(left; right) in nats."""
+        return self._mi(self._ids(left), self._ids(right))
+
+    def cmi(self, a: GroupLike, b: GroupLike, cond: GroupLike) -> float:
+        """I(a; b | cond) in nats."""
+        a, b, cond = self._ids(a), self._ids(b), self._ids(cond)
+        value = (
+            self._entropy(a | cond)
+            + self._entropy(b | cond)
+            - self._entropy(a | b | cond)
+            - self._entropy(cond)
+        )
+        return max(0.0, value)
+
+    def theta(self, i: int, j: int, context: GroupLike = ()) -> float:
+        """Candidate-effect measure: how adding feature j changes the
+        information feature i contributes about the target, given context."""
+        (i,), (j,) = (_group_ids((k,), self._n_features) for k in (i, j))
+        context = self._ids(context)
+        if _TARGET_ID in context:
+            raise OracleUnsupportedError("context is a feature set; target not allowed")
+        if i == j:
+            raise OracleUnsupportedError("theta needs two distinct features")
+        if i in context or j in context:
+            raise OracleUnsupportedError("theta context must exclude i and j")
+        with_j = self._mi(_Y, context | {i, j}) - self._mi(_Y, context | {j})
+        without_j = self._mi(_Y, context | {i}) - self._mi(_Y, context)
+        return with_j - without_j
+
+    def _entropy(self, cols: Iterable[int]) -> float:
+        """Entropy of a set of column ids, from the count of each distinct
+        row of its columns.
 
         math.fsum rounds the exact sum of its terms once, so the order in
         which the counts come, and so the order of the columns, never
@@ -75,70 +118,17 @@ class ExactOracle:
             self._entropy_cache[key] = cached
         return cached
 
-    def mi(self, left: Iterable[int], right: Iterable[int]) -> float:
-        """I(left; right) in nats. Valid for any column groups: duplicate
-        columns inside the joint group contribute no extra entropy."""
-        left = frozenset(left)
-        right = frozenset(right)
-        value = self.entropy(left) + self.entropy(right) - self.entropy(left | right)
+    def _mi(self, left: Iterable[int], right: Iterable[int]) -> float:
+        """I(left; right) of id sets; the sets may overlap."""
+        left, right = frozenset(left), frozenset(right)
+        value = self._entropy(left) + self._entropy(right) - self._entropy(left | right)
         return max(0.0, value)
 
-    def cmi(self, a: Iterable[int], b: Iterable[int], cond: Iterable[int]) -> float:
-        """I(a; b | cond) in nats."""
-        a, b, cond = frozenset(a), frozenset(b), frozenset(cond)
-        value = (
-            self.entropy(a | cond)
-            + self.entropy(b | cond)
-            - self.entropy(a | b | cond)
-            - self.entropy(cond)
-        )
-        return max(0.0, value)
-
-    def interaction(self, feature: int, partners: Iterable[int]) -> float:
+    def _interaction(self, feature: int, partners: Iterable[int]) -> float:
         """II(target; feature; partners), positive for synergy."""
         partners = frozenset(partners)
-        y = frozenset({_TARGET_ID})
-        return (
-            self.mi(y, partners | {feature})
-            - self.mi(y, {feature})
-            - self.mi(y, partners)
-        )
-
-    def theta(self, i: int, j: int, context: Iterable[int]) -> float:
-        """Candidate-effect measure: how adding column j changes the
-        information column i contributes about the target, given context."""
-        context = frozenset(context)
-        if i == j:
-            raise OracleUnsupportedError("theta needs two distinct features")
-        if i in context or j in context:
-            raise OracleUnsupportedError("theta context must exclude i and j")
-        y = frozenset({_TARGET_ID})
-        with_j = self.mi(y, context | {i, j}) - self.mi(y, context | {j})
-        without_j = self.mi(y, context | {i}) - self.mi(y, context)
-        return with_j - without_j
-
-
-def oracle_entropy(data: Dataset, group: GroupLike) -> float:
-    """Exact plug-in entropy of a column group, in nats."""
-    return ExactOracle(data).entropy(_group_ids(group, data.n_features))
-
-
-def oracle_mi(data: Dataset, left: GroupLike, right: GroupLike) -> float:
-    """Exact plug-in MI between two column groups, in nats."""
-    n_features = data.n_features
-    return ExactOracle(data).mi(_group_ids(left, n_features), _group_ids(right, n_features))
-
-
-def oracle_theta(
-    data: Dataset, i: int, j: int, context: "FeatureSubset | Iterable[int]" = ()
-) -> float:
-    """Exact candidate-effect value for feature i, candidate j, context."""
-    n_features = data.n_features
-    (i,), (j,) = (_group_ids((k,), n_features) for k in (i, j))
-    ctx = _group_ids(context, n_features)
-    if _TARGET_ID in ctx:
-        raise OracleUnsupportedError("context is a feature set; target not allowed")
-    return ExactOracle(data).theta(i, j, ctx)
+        return (self._mi(_Y, partners | {feature}) - self._mi(_Y, {feature})
+                - self._mi(_Y, partners))
 
 
 def _require_cap(data: Dataset, cap: int, what: str) -> None:
@@ -182,12 +172,7 @@ class OracleFeature:
         return self.mci - self.fwr
 
 
-@dataclass(frozen=True)
-class OraclePidf:
-    features: tuple[OracleFeature, ...]
-
-
-def oracle_pidf(data: Dataset) -> OraclePidf:
+def oracle_pidf(data: Dataset) -> tuple[OracleFeature, ...]:
     """Exhaustive per-feature synergy/redundancy decomposition.
 
     For every feature the synergy maximum is taken over the full power set
@@ -197,25 +182,26 @@ def oracle_pidf(data: Dataset) -> OraclePidf:
     lexicographically.
     """
     _require_cap(data, _POWER_SET_CAP, "exhaustive enumeration")
-    oracle = ExactOracle(data)
-    all_features = tuple(range(data.n_features))
+    return _decompose(ExactOracle(data), data.n_features)
+
+
+def _decompose(oracle: ExactOracle, n_features: int) -> tuple[OracleFeature, ...]:
+    """oracle_pidf's decomposition, asked of a referee the caller holds."""
     out = []
-    for i in all_features:
-        rest = tuple(f for f in all_features if f != i)
-        mi = oracle.mi({_TARGET_ID}, {i})
+    for i in range(n_features):
+        rest = tuple(f for f in range(n_features) if f != i)
         subsets = tuple(_power_set(rest))
-        fws, ties = _ties([oracle.interaction(i, subset) for subset in subsets])
-        maximizers = tuple(FeatureSubset(subsets[k]) for k in ties)
+        fws, ties = _ties([oracle._interaction(i, subset) for subset in subsets])
         out.append(
             OracleFeature(
                 index=i,
-                mi=mi,
+                mi=oracle._mi(_Y, {i}),
                 fws=fws,
-                maximizers=maximizers,
-                fwr=fws - oracle.interaction(i, rest),
+                maximizers=tuple(FeatureSubset(subsets[k]) for k in ties),
+                fwr=fws - oracle._interaction(i, rest),
             )
         )
-    return OraclePidf(tuple(out))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -238,37 +224,31 @@ class TheoremReport:
 def check_theorems(data: Dataset) -> TheoremReport:
     _require_cap(data, _CHECK_CAP, "theorem checking")
     oracle = ExactOracle(data)
-    decomposition = oracle_pidf(data)
     all_features = tuple(range(data.n_features))
-    y = frozenset({_TARGET_ID})
 
     max_residual = 0.0
-    for feat in decomposition.features:
+    for feat in _decompose(oracle, data.n_features):
         rest = frozenset(f for f in all_features if f != feat.index)
-        direct = oracle.mi(y, frozenset(all_features)) - oracle.mi(y, rest)
+        direct = oracle._mi(_Y, frozenset(all_features)) - oracle._mi(_Y, rest)
         max_residual = max(max_residual, abs((feat.mci - feat.fwr) - direct))
 
     violations = 0
     n_checked = 0
     for i in all_features:
-        h_i = oracle.entropy({i})
+        h_i = oracle._entropy({i})
         for j in all_features:
             if j == i:
                 continue
-            pairwise = oracle.mi({i}, {j})
+            pairwise = oracle._mi({i}, {j})
             lower = -pairwise
             upper = 2.0 * h_i - pairwise
             others = tuple(f for f in all_features if f not in (i, j))
             for context in _power_set(others):
-                value = oracle.theta(i, j, frozenset(context))
+                value = oracle.theta(i, j, context)
                 n_checked += 1
                 if lower - value > TOLERANCE or value - upper > TOLERANCE:
                     violations += 1
-    return TheoremReport(
-        max_identity_residual=max_residual,
-        bound_violations=violations,
-        n_theta_checked=n_checked,
-    )
+    return TheoremReport(max_residual, violations, n_checked)
 
 
 def assumption_max_violation(data: Dataset) -> float:
@@ -287,10 +267,10 @@ def assumption_max_violation(data: Dataset) -> float:
         for subset in _power_set(rest):
             if not subset:
                 continue
-            whole = oracle.mi({i}, subset)
+            whole = oracle._mi({i}, subset)
             for j in subset:
-                without_j = oracle.mi({i}, frozenset(subset) - {j})
-                pairwise = oracle.mi({i}, {j})
+                without_j = oracle._mi({i}, frozenset(subset) - {j})
+                pairwise = oracle._mi({i}, {j})
                 worst = max(worst, whole - without_j - pairwise)
     return worst
 

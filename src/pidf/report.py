@@ -69,8 +69,7 @@ def report_payload(
     features = []
     for res in report.results:
         contributions = {
-            report.feature_names[j]: conv(max(0.0, ens.mean))
-            for j, ens in res.fwr_contributions
+            report.feature_names[j]: conv(ens.mean) for j, ens in res.fwr_contributions
         }
         features.append(
             {
@@ -176,7 +175,7 @@ def render_svg(
     for res in report.results:
         mi = max(0.0, conv(res.mi_value))
         fws = max(0.0, conv(res.fws_value))
-        fwr = max(0.0, conv(res.fwr_total))
+        fwr = conv(res.fwr_total)
         stacks.append((mi, fws, fwr))
     top = max((mi + fws for mi, fws, _ in stacks), default=0.0)
     top = max(top, max((fwr for _, _, fwr in stacks), default=0.0))
@@ -218,9 +217,7 @@ def render_svg(
             _svg_rect(x1, baseline - fwr_h, BAR_WIDTH, fwr_h, FWR_COLOR,
                       f"{res.name} redundancy = {fwr:.6f}")
         )
-        contributors = ",".join(
-            str(j) for j, ens in res.fwr_contributions if ens.mean > 0.0
-        )
+        contributors = ",".join(str(j) for j, _ in res.fwr_contributions)
         if contributors:
             parts.append(
                 _svg_text(x1 + BAR_WIDTH / 2, baseline - fwr_h - 6, contributors, size=10)

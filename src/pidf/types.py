@@ -381,11 +381,14 @@ def infer_kinds(table: np.ndarray) -> tuple[ColumnKind, ...]:
     kinds = []
     for col in np.asarray(table, dtype=np.float64).T:
         ordered = np.sort(col)
-        # Not np.unique, whose masked-array check imports numpy.ma.
-        distinct = ordered[np.diff(ordered, prepend=-np.inf) != 0]
+        # Not np.unique, whose masked-array check imports numpy.ma. An
+        # infinite or nan neighbour makes a nan step, which counts as new.
+        with np.errstate(invalid="ignore"):
+            distinct = ordered[np.diff(ordered, prepend=-np.inf) != 0]
         integral = np.array_equal(np.rint(distinct), distinct)
+        # An infinite end makes the column continuous, which Dataset refuses.
         if integral and distinct.size <= _DISCRETE_CAP and (
-            distinct.size == 0 or distinct.min() >= 0
+            distinct.size == 0 or 0 <= distinct[0] <= distinct[-1] < np.inf
         ):
             card = int(distinct.max()) + 1 if distinct.size else 1
             kinds.append(ColumnKind.discrete(card))
@@ -429,12 +432,18 @@ def validate_dataset(
 
 @dataclass(frozen=True)
 class ThetaEvaluation:
-    """One candidate decision inside a feature's pass."""
+    """One candidate decision inside a feature's pass. A redundant
+    candidate's theta has a negative mean: at alpha <= 0.5 no other theta
+    passes is_redundant."""
 
     candidate: int
     context: FeatureSubset
     theta: EstimateEnsemble
     redundant: bool
+
+    def __post_init__(self) -> None:
+        if self.redundant and not self.theta.mean < 0.0:
+            raise ConfigError(f"redundant theta has mean {self.theta.mean} >= 0")
 
 
 @dataclass(frozen=True)
@@ -482,7 +491,7 @@ class PidfFeatureResult:
 
     @property
     def fwr_total(self) -> float:
-        return float(sum(max(0.0, ens.mean) for _, ens in self.fwr_contributions))
+        return float(sum(ens.mean for _, ens in self.fwr_contributions))
 
     @property
     def mci(self) -> float:
@@ -500,8 +509,7 @@ class PidfFeatureResult:
         return abs(self.fws.mean) < 2.0 * self.fws.std
 
     def net_ensemble(self) -> EstimateEnsemble:
-        """Per-seed mci minus raw (unclamped) redundancy, for significance
-        testing; the report-level clamp on fwr_total cannot bias this."""
+        """Per-seed mci minus redundancy, for significance testing."""
         terms: list[tuple[float, EstimateEnsemble]] = [(1.0, self.mi), (1.0, self.fws)]
         terms.extend((-1.0, ens) for _, ens in self.fwr_contributions)
         return EstimateEnsemble.linear(terms)

@@ -16,6 +16,7 @@ from pidf import (
     Dataset,
     EstimatorConfig,
     ExactDiscrete,
+    ExactOracle,
     FeatureSubset,
     GeneratorSpec,
     Ksg,
@@ -30,7 +31,6 @@ from pidf import (
     estimate_mi,
     generate,
     oracle,
-    oracle_mi,
     population_table,
     render_json,
     run_pidf,
@@ -155,7 +155,7 @@ def test_criterion_3_exhaustive_synergy_sets(capsys):
         failures.append(f"maximizers {[set(m) for m in maximizers]}")
 
     exhaustive = oracle.oracle_pidf(data)
-    f0 = exhaustive.features[0]
+    f0 = exhaustive[0]
     mci = f0.mi + f0.fws
     if abs(f0.fwr - mci) > 1e-9:
         failures.append(f"f0 fwr={f0.fwr:.12f} vs mci={mci:.12f}")
@@ -198,7 +198,7 @@ def test_criterion_5_estimator_accuracy(capsys):
         size = int(rng.integers(1, n + 1))
         group = FeatureSubset(int(j) for j in rng.choice(n, size=size, replace=False))
         est = estimate_mi(data, group, TARGET, cfg).mean
-        exact = oracle_mi(data, group, TARGET)
+        exact = ExactOracle(data).mi(group, TARGET)
         worst = max(worst, abs(est - exact))
     if worst > 1e-9:
         failures.append(f"exact estimator max deviation {worst:.2e}")

@@ -15,10 +15,11 @@ fewer features.
 import numpy as np
 import pytest
 
-from pidf import ColumnKind, Dataset, datasets, population_table, run_pidf, select_features
+from pidf import (
+    TARGET, ColumnKind, Dataset, datasets, population_table, run_pidf, select_features,
+)
 from pidf.datasets import POPULATION_IDS, duplicate_feature
 from pidf.oracle import TOLERANCE, ExactOracle, _power_set
-from pidf.types import _TARGET_ID
 
 from instances import random_population_instance
 
@@ -49,7 +50,7 @@ INSTANCE_COPY_MISSES = {
 
 def is_blanket(oracle: ExactOracle, n_features: int, subset: frozenset) -> bool:
     rest = [f for f in range(n_features) if f not in subset]
-    return oracle.cmi({_TARGET_ID}, rest, subset) <= TOLERANCE
+    return oracle.cmi(TARGET, rest, subset) <= TOLERANCE
 
 
 def is_minimal_blanket(data: Dataset, subset) -> bool:

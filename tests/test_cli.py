@@ -1,6 +1,7 @@
 """Command-line interface: subcommand behavior, option precedence, and the
 documented exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,7 +11,10 @@ import sys
 
 import pytest
 
-from pidf import PidfReport, SubsetCapError, cli, estimators, population_table, render_json
+from pidf import (
+    PidfReport, SubsetCapError, cli, estimators, oracle, population_table, render_json,
+)
+from pidf.datasets import POPULATION_IDS
 
 
 def run_cli(capsys, *argv):
@@ -315,6 +319,43 @@ class TestVerify:
         _, out, _ = run_cli(capsys, "verify", "--datasets", "rvq")
         assert "bound violations 0" in out
 
+    def test_identity_line_reads_the_pipeline(self, capsys, monkeypatch):
+        # A fault in one feature's synergy must show as an identity residual.
+        real = cli.run_pidf
+
+        def shifted(data, cfg):
+            report = real(data, cfg)
+            first = report.results[0]
+            first = dataclasses.replace(first, fws=first.fws.map(lambda v: v - 1e-6))
+            return dataclasses.replace(report, results=(first, *report.results[1:]))
+
+        monkeypatch.setattr(cli, "run_pidf", shifted)
+        code, out, _ = run_cli(capsys, "verify", "--datasets", "rvq")
+        assert code == 1
+        assert "rvq: net-contribution identity residual 1.00e-06: FAIL" in out.splitlines()
+
+    def test_one_referee_per_table_answers_the_mi_queries(self, capsys, monkeypatch):
+        built, asked = [], set()
+        init, mi = oracle.ExactOracle.__init__, oracle.ExactOracle.mi
+
+        def counting_init(self, data):
+            built.append(self)
+            init(self, data)
+
+        def counting_mi(self, *groups):
+            asked.add(id(self))
+            return mi(self, *groups)
+
+        monkeypatch.setattr(oracle.ExactOracle, "__init__", counting_init)
+        monkeypatch.setattr(oracle.ExactOracle, "mi", counting_mi)
+        code, _, _ = run_cli(capsys, "verify")
+        assert code == 0
+        n_tables = len(POPULATION_IDS)
+        assert len(asked) == n_tables
+        # That referee, and one each for oracle_pidf, check_theorems and
+        # assumption_holds.
+        assert len(built) == 4 * n_tables
+
     def test_reports_maximizers(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "--datasets", "pairsum")
         assert "f0 max-synergy sets: {f1}, {f3}, {f1,f3}" in out
@@ -371,6 +412,16 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert "dataset error" in err
 
+    @pytest.mark.parametrize("rows", ["1,inf,0\n0,1,1\n", "1,0,inf\n0,1,1\n",
+                                      "1,-inf,0\n0,1,1\n"],
+                             ids=["feature", "target", "negative"])
+    def test_infinite_value_is_a_dataset_error(self, capsys, tmp_path, rows):
+        path = tmp_path / "inf.csv"
+        path.write_text("a,b,target\n" + rows)
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("dataset error: ") and err.count("\n") == 1
+
     def test_unwritable_output(self, capsys):
         code, _, err = run_cli(
             capsys, "gen", "--dataset", "rvq", "--n", "5",
@@ -416,7 +467,9 @@ PINNED = [
     (("bench", "--seeds", "2"),
      0, "daff8c9d975e507dccc5c7a6c914fc838c8ac728cf4891980238e725ef1edc9f"),
     (("verify",),
-     0, "b676d9251ad2b12c0513760a9f103dcbc621548f3d5efbd36261e1916d2bd69b"),
+     0, "f30601d5afaa536faa6556557e41779ceb3cf1611ce42d032eeaa39ba11cb632"),
+    (("verify", "--terc-rule", "pair"),
+     0, "120ff5b6135d081662f9b1e5e61e42fb0ca3e6355409f46e05e2d9245c34fb3f"),
 ]
 
 

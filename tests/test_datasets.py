@@ -9,13 +9,13 @@ import pytest
 from pidf import (
     ConfigError,
     DatasetError,
+    ExactOracle,
     FeatureSubset,
     GeneratorSpec,
     TARGET,
     datasets,
     duplicate_feature,
     generate,
-    oracle_mi,
     population_table,
 )
 
@@ -169,18 +169,18 @@ class TestPopulationTables:
     def test_empirical_converges_to_population(self):
         """Large-sample empirical MI approaches the population value."""
         pop = population_table("rvq")
-        pop_mi = oracle_mi(pop, FeatureSubset.of(0), TARGET)
+        pop_mi = ExactOracle(pop).mi(FeatureSubset.of(0), TARGET)
         emp = generate(GeneratorSpec(dataset="rvq", n_samples=200000, seed=0))
-        emp_mi = oracle_mi(emp, FeatureSubset.of(0), TARGET)
+        emp_mi = ExactOracle(emp).mi(FeatureSubset.of(0), TARGET)
         assert emp_mi == pytest.approx(pop_mi, abs=0.01)
 
     def test_terc_pair_rule_population(self):
         """Under the pair rule the target is the XOR of f1 and f2, so all
         its information is synergistic between that pair and f0 is useless."""
-        pop = population_table("terc1", terc_rule="pair")
-        assert oracle_mi(pop, FeatureSubset.of(0), TARGET) == pytest.approx(0.0, abs=1e-12)
-        assert oracle_mi(pop, FeatureSubset.of(1), TARGET) == pytest.approx(0.0, abs=1e-12)
-        assert oracle_mi(pop, FeatureSubset.of(1, 2), TARGET) == pytest.approx(LN2, abs=1e-12)
+        ref = ExactOracle(population_table("terc1", terc_rule="pair"))
+        assert ref.mi(FeatureSubset.of(0), TARGET) == pytest.approx(0.0, abs=1e-12)
+        assert ref.mi(FeatureSubset.of(1), TARGET) == pytest.approx(0.0, abs=1e-12)
+        assert ref.mi(FeatureSubset.of(1, 2), TARGET) == pytest.approx(LN2, abs=1e-12)
 
 
 class TestGroundTruth:

@@ -28,6 +28,7 @@ from pidf import (
     EstimatorConfig,
     EstimatorError,
     ExactDiscrete,
+    ExactOracle,
     FeatureSubset,
     GeneratorSpec,
     Ksg,
@@ -36,7 +37,6 @@ from pidf import (
     TARGET,
     estimate_mi,
     generate,
-    oracle_mi,
     render_json,
     run_pidf,
     select_features,
@@ -115,7 +115,7 @@ class TestExactDiscrete:
             full = FeatureSubset.full(data.n_features)
             for left in (F(0), full):
                 est = estimate_mi(data, left, TARGET, cfg).mean
-                ref = oracle_mi(data, left, TARGET)
+                ref = ExactOracle(data).mi(left, TARGET)
                 assert abs(est - ref) <= 1e-9, (seed, left)
 
     def test_deterministic_broadcast(self):
@@ -221,7 +221,7 @@ class TestBinned:
             data, F(0), TARGET,
             EstimatorConfig(kind=Binned(bins=32), repetitions=1, base_seed=0),
         ).mean
-        ref = oracle_mi(data, F(0), TARGET)
+        ref = ExactOracle(data).mi(F(0), TARGET)
         assert est == pytest.approx(ref, abs=1e-9)
 
     def test_gaussian_positive_dependence(self):
@@ -645,7 +645,7 @@ class TestPluginTable:
         for seed in range(20):
             data = random_dataset(seed)
             assert estimate_mi(data, F(0), TARGET, cfg).estimates[0] == \
-                pytest.approx(oracle_mi(data, F(0), TARGET), abs=1e-9)
+                pytest.approx(ExactOracle(data).mi(F(0), TARGET), abs=1e-9)
 
     @given(st.one_of(count_tables(), repeated_rows(count_tables())))
     @settings(max_examples=100, deadline=None)

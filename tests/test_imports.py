@@ -50,3 +50,10 @@ def read_names(tree):
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert sorted(imported_names(tree) - read_names(tree)) == []
+
+
+def test_every_public_name_resolves_once():
+    """``from pidf import *`` reads __all__, so a stale entry for a deleted
+    name breaks it."""
+    assert len(pidf.__all__) == len(set(pidf.__all__))
+    assert [name for name in pidf.__all__ if not hasattr(pidf, name)] == []

@@ -27,10 +27,7 @@ from pidf.oracle import (
     check_theorems,
     assumption_holds,
     assumption_max_violation,
-    oracle_entropy,
-    oracle_mi,
     oracle_pidf,
-    oracle_theta,
 )
 
 LN2 = math.log(2.0)
@@ -58,11 +55,11 @@ class TestJointTable:
 
     def test_uniform_entropy(self):
         data = make_dataset([range(8)], [0] * 8, t_card=1)
-        assert oracle_entropy(data, F(0)) == pytest.approx(math.log(8), abs=1e-15)
+        assert ExactOracle(data).entropy(F(0)) == pytest.approx(math.log(8), abs=1e-15)
 
     def test_constant_entropy_zero(self):
         data = make_dataset([[3] * 10, [1] * 10], [0] * 10, t_card=1)
-        assert oracle_entropy(data, F(0, 1)) == 0.0
+        assert ExactOracle(data).entropy(F(0, 1)) == 0.0
 
 
 class TestExactOracle:
@@ -79,26 +76,27 @@ class TestExactOracle:
 
     def test_self_information_is_entropy(self):
         data = make_dataset([[0, 0, 1, 2]], [0, 1, 0, 1])
-        assert oracle_mi(data, F(0), F(0)) == pytest.approx(
-            oracle_entropy(data, F(0)), abs=1e-15
-        )
+        ref = ExactOracle(data)
+        assert ref.mi(F(0), F(0)) == pytest.approx(ref.entropy(F(0)), abs=1e-15)
 
     def test_mi_with_empty_group_is_zero(self):
         data = make_dataset([[0, 1, 0, 1]], [0, 0, 1, 1])
-        assert oracle_mi(data, FeatureSubset(), TARGET) == 0.0
+        assert ExactOracle(data).mi(FeatureSubset(), TARGET) == 0.0
 
     def test_group_forms_agree(self):
         data = make_dataset([[0, 1, 0, 1], [0, 0, 1, 1]], [0, 1, 1, 0])
-        a = oracle_mi(data, FeatureSubset((0, 1)), TARGET)
-        b = oracle_mi(data, [0, 1], TARGET)
+        ref = ExactOracle(data)
+        a = ref.mi(FeatureSubset((0, 1)), TARGET)
+        b = ref.mi([0, 1], TARGET)
         assert a == b
 
     def test_theta_validates_indices(self):
         data = make_dataset([[0, 1], [0, 1], [0, 1]], [0, 1])
+        ref = ExactOracle(data)
         with pytest.raises(OracleUnsupportedError):
-            oracle_theta(data, 0, 0, FeatureSubset())
+            ref.theta(0, 0, FeatureSubset())
         with pytest.raises(OracleUnsupportedError):
-            oracle_theta(data, 0, 1, FeatureSubset.of(1))
+            ref.theta(0, 1, FeatureSubset.of(1))
 
 
 class TestFrozenPopulationValues:
@@ -106,47 +104,47 @@ class TestFrozenPopulationValues:
 
     def test_rvq(self):
         data = datasets.population_table("rvq")
-        assert oracle_entropy(data, TARGET) == pytest.approx(2 * LN2, abs=1e-12)
+        ref = ExactOracle(data)
+        assert ref.entropy(TARGET) == pytest.approx(2 * LN2, abs=1e-12)
         for i in range(3):
-            assert oracle_mi(data, F(i), TARGET) == pytest.approx(LN2, abs=1e-12)
-        assert oracle_theta(data, 0, 1, F(2)) == 0.0
+            assert ref.mi(F(i), TARGET) == pytest.approx(LN2, abs=1e-12)
+        assert ref.theta(0, 1, F(2)) == 0.0
         result = oracle_pidf(data)
-        assert result.features[1].fwr == pytest.approx(LN2, abs=1e-12)
-        assert result.features[0].fwr == pytest.approx(0.0, abs=1e-12)
+        assert result[1].fwr == pytest.approx(LN2, abs=1e-12)
+        assert result[0].fwr == pytest.approx(0.0, abs=1e-12)
         # no informative partner for f0: zero synergy, empty set among argmaxes
-        assert result.features[0].fws == pytest.approx(0.0, abs=1e-12)
-        assert FeatureSubset() in result.features[0].maximizers
+        assert result[0].fws == pytest.approx(0.0, abs=1e-12)
+        assert FeatureSubset() in result[0].maximizers
 
     def test_svq(self):
         data = datasets.population_table("svq")
+        ref = ExactOracle(data)
         for i in range(2):
-            assert oracle_mi(data, F(i), TARGET) == 0.0
-        assert oracle_mi(data, FeatureSubset((0, 1)), TARGET) == pytest.approx(
-            LN2, abs=1e-12
-        )
-        assert oracle_theta(data, 0, 1, FeatureSubset()) == pytest.approx(
-            LN2, abs=1e-12
-        )
+            assert ref.mi(F(i), TARGET) == 0.0
+        assert ref.mi(FeatureSubset((0, 1)), TARGET) == pytest.approx(LN2, abs=1e-12)
+        assert ref.theta(0, 1, FeatureSubset()) == pytest.approx(LN2, abs=1e-12)
 
     def test_msq(self):
         data = datasets.population_table("msq")
-        assert oracle_entropy(data, TARGET) == pytest.approx(1.5 * LN2, abs=1e-12)
-        assert oracle_mi(data, F(0), F(1)) == pytest.approx(0.5 * LN2, abs=1e-12)
+        ref = ExactOracle(data)
+        assert ref.entropy(TARGET) == pytest.approx(1.5 * LN2, abs=1e-12)
+        assert ref.mi(F(0), F(1)) == pytest.approx(0.5 * LN2, abs=1e-12)
         result = oracle_pidf(data)
-        assert result.features[0].mi == pytest.approx(1.5 * LN2, abs=1e-12)
-        assert result.features[0].fws == 0.0
-        assert result.features[1].fws == pytest.approx(0.5 * LN2, abs=1e-12)
-        assert result.features[1].fwr == pytest.approx(LN2, abs=1e-12)
+        assert result[0].mi == pytest.approx(1.5 * LN2, abs=1e-12)
+        assert result[0].fws == 0.0
+        assert result[1].fws == pytest.approx(0.5 * LN2, abs=1e-12)
+        assert result[1].fwr == pytest.approx(LN2, abs=1e-12)
 
     def test_terc(self):
         data = datasets.population_table("terc1")
+        ref = ExactOracle(data)
         h_y = 2 * LN2 - 0.75 * math.log(3.0)
-        assert oracle_entropy(data, TARGET) == pytest.approx(h_y, abs=1e-12)
-        assert oracle_mi(data, FeatureSubset((1, 2)), TARGET) == pytest.approx(
+        assert ref.entropy(TARGET) == pytest.approx(h_y, abs=1e-12)
+        assert ref.mi(FeatureSubset((1, 2)), TARGET) == pytest.approx(
             h_y - 0.5 * LN2, abs=1e-12
         )
         result = oracle_pidf(data)
-        f1 = result.features[1]
+        f1 = result[1]
         assert f1.mi == 0.0
         assert f1.fws == pytest.approx(0.5 * LN2, abs=1e-12)
         assert f1.maximizers[0] == FeatureSubset((0, 2))
@@ -156,28 +154,23 @@ class TestFrozenPopulationValues:
 
     def test_sg_regression(self):
         data = datasets.population_table("sg")
+        ref = ExactOracle(data)
         assert data.n_samples == 600
-        assert oracle_entropy(data, TARGET) == pytest.approx(LN2, abs=1e-12)
-        assert oracle_mi(data, F(2), TARGET) == pytest.approx(
-            0.19274475702175842, abs=1e-12
-        )
-        assert oracle_mi(data, F(0), F(2)) == pytest.approx(
-            0.0758944863091493, abs=1e-12
-        )
-        assert oracle_mi(data, F(0), TARGET) == pytest.approx(
-            0.2348629145418606, abs=1e-12
-        )
-        assert oracle_mi(data, FeatureSubset.full(3), TARGET) == pytest.approx(
+        assert ref.entropy(TARGET) == pytest.approx(LN2, abs=1e-12)
+        assert ref.mi(F(2), TARGET) == pytest.approx(0.19274475702175842, abs=1e-12)
+        assert ref.mi(F(0), F(2)) == pytest.approx(0.0758944863091493, abs=1e-12)
+        assert ref.mi(F(0), TARGET) == pytest.approx(0.2348629145418606, abs=1e-12)
+        assert ref.mi(FeatureSubset.full(3), TARGET) == pytest.approx(
             0.5335058551729359, abs=1e-12
         )
         result = oracle_pidf(data)
-        assert result.features[0].oci == pytest.approx(0.1817926699184671, abs=1e-12)
-        assert result.features[2].oci == pytest.approx(0.038873917958862414, abs=1e-12)
+        assert result[0].oci == pytest.approx(0.1817926699184671, abs=1e-12)
+        assert result[2].oci == pytest.approx(0.038873917958862414, abs=1e-12)
 
     def test_pairsum_fully_redundant_feature(self):
         data = datasets.population_table("pairsum")
         result = oracle_pidf(data)
-        f0 = result.features[0]
+        f0 = result[0]
         assert f0.mi == pytest.approx(0.5 * LN2, abs=1e-12)
         assert f0.fws == pytest.approx(0.5 * LN2, abs=1e-12)
         assert abs(f0.fwr - f0.mci) <= 1e-9
@@ -241,20 +234,20 @@ class TestTheoremChecks:
         b = [0, 1, 0, 1]
         k = [x ^ y for x, y in zip(a, b)]
         data = make_dataset([a, b, k], a)
+        ref = ExactOracle(data)
         assert not assumption_holds(data)
-        theta = oracle_theta(data, 1, 0, F(2))
-        pairwise = oracle_mi(data, F(1), F(0))
+        theta = ref.theta(1, 0, F(2))
+        pairwise = ref.mi(F(1), F(0))
         assert theta < -pairwise - 1e-9
 
     def test_identity_matches_direct_difference(self):
         data = datasets.population_table("rvq")
+        ref = ExactOracle(data)
         result = oracle_pidf(data)
-        for feat in result.features:
+        for feat in result:
             everything = FeatureSubset.full(data.n_features)
             rest = everything - {feat.index}
-            direct = oracle_mi(data, everything, TARGET) - oracle_mi(
-                data, rest, TARGET
-            )
+            direct = ref.mi(everything, TARGET) - ref.mi(rest, TARGET)
             assert feat.mci - feat.fwr == pytest.approx(direct, abs=1e-12)
 
 

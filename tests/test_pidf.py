@@ -12,6 +12,7 @@ from pidf import (
     EstimateEnsemble,
     EstimatorConfig,
     ExactDiscrete,
+    ExactOracle,
     FeatureSubset,
     GeneratorSpec,
     Ksg,
@@ -23,7 +24,6 @@ from pidf import (
     estimate_mi,
     generate,
     is_redundant,
-    oracle_mi,
     population_table,
     run_pidf,
     significantly_positive,
@@ -147,7 +147,7 @@ class TestMiCache:
         cfg = default_config(data)
         cache = MiCache(data, cfg)
         got = cache.mi(TARGET, FeatureSubset.of(0, 1))
-        direct = oracle_mi(data, FeatureSubset.of(0, 1), TARGET)
+        direct = ExactOracle(data).mi(FeatureSubset.of(0, 1), TARGET)
         assert got.mean == pytest.approx(direct, abs=1e-12)
 
     def test_one_pass_iterator_group(self):
@@ -423,10 +423,11 @@ class TestNetTelescopes:
         data = population_table(dataset_id)
         report = run_pidf(data)
         everything = FeatureSubset.full(data.n_features)
-        total = oracle_mi(data, everything, TARGET)
+        ref = ExactOracle(data)
+        total = ref.mi(everything, TARGET)
         for r in report.results:
             rest = everything - {r.index}
-            expected = total - oracle_mi(data, rest, TARGET)
+            expected = total - ref.mi(rest, TARGET)
             assert r.net_ensemble().mean == pytest.approx(expected, abs=1e-9), r.name
 
 

@@ -15,6 +15,7 @@ from pidf import (
     EstimateEnsemble,
     EstimatorConfig,
     ExactDiscrete,
+    ExactOracle,
     FeatureSubset,
     NATS,
     TARGET,
@@ -22,8 +23,6 @@ from pidf import (
     estimate_mi,
     is_redundant,
     oracle,
-    oracle_entropy,
-    oracle_mi,
     run_pidf,
     significantly_positive,
 )
@@ -130,7 +129,7 @@ class TestEstimatorInvariants:
         ba = estimate_mi(data, TARGET, left, DETERMINISTIC).mean
         assert ab == ba
         assert ab >= -1e-12
-        assert ab == pytest.approx(oracle_mi(data, left, TARGET), abs=1e-9)
+        assert ab == pytest.approx(ExactOracle(data).mi(left, TARGET), abs=1e-9)
 
     @relaxed
     @given(st.integers(min_value=0, max_value=10_000))
@@ -138,7 +137,7 @@ class TestEstimatorInvariants:
         data = random_dataset(seed, max_features=3, max_rows=100)
         group = FeatureSubset.of(0)
         self_mi = estimate_mi(data, group, group, DETERMINISTIC).mean
-        entropy = oracle_entropy(data, group)
+        entropy = ExactOracle(data).entropy(group)
         assert self_mi == pytest.approx(entropy, abs=1e-12)
 
     @relaxed
@@ -226,10 +225,11 @@ class TestDecompositionInvariants:
         data = random_dataset(seed, max_features=4, max_rows=120)
         report = run_pidf(data)
         everything = FeatureSubset.full(data.n_features)
-        total = oracle_mi(data, everything, TARGET)
+        ref = ExactOracle(data)
+        total = ref.mi(everything, TARGET)
         for res in report.results:
             rest = everything - {res.index}
-            expected = total - oracle_mi(data, rest, TARGET)
+            expected = total - ref.mi(rest, TARGET)
             assert res.net_ensemble().mean == pytest.approx(expected, abs=1e-9)
 
     @relaxed

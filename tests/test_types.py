@@ -10,6 +10,7 @@ import pytest
 
 from pidf import (
     BITS,
+    ExactOracle,
     NATS,
     TARGET,
     ColumnKind,
@@ -32,9 +33,6 @@ from pidf import (
     duplicate_feature,
     estimate_mi,
     infer_kinds,
-    oracle_entropy,
-    oracle_mi,
-    oracle_theta,
     population_table,
     render_json,
     run_pidf,
@@ -248,20 +246,19 @@ def _result(index, mi, fws, contributions=()):
 
 
 class TestPidfFeatureResult:
-    def test_fwr_total_clamps_negative_contributions(self):
-        res = _result(0, 0.5, 0.1, contributions=[(1, 0.2), (2, -0.05)])
-        assert res.fwr_total == pytest.approx(0.2)
+    def test_redundant_theta_of_nonnegative_mean_is_refused(self):
+        # At alpha <= 0.5 is_redundant passes only thetas of negative mean,
+        # so every redundancy contribution is positive and needs no clamp.
+        for estimates in ((0.05, 0.05), (0.0, 0.0), (-0.01, 0.03)):
+            theta = EstimateEnsemble(estimates, (0, 1))
+            with pytest.raises(ConfigError, match="redundant theta has mean"):
+                ThetaEvaluation(1, FeatureSubset(), theta, True)
+            assert not ThetaEvaluation(1, FeatureSubset(), theta, False).redundant
 
     def test_mci_oci(self):
         res = _result(0, 0.5, 0.1, contributions=[(1, 0.2)])
         assert res.mci == pytest.approx(0.6)
         assert res.oci == pytest.approx(0.4)
-
-    def test_net_ensemble_subtracts_raw_contributions(self):
-        # the clamp applies to reported totals only; the per-seed net must
-        # subtract the raw (possibly negative) contribution values
-        res = _result(0, 0.5, 0.1, contributions=[(1, -0.05)])
-        assert res.net_ensemble().mean == pytest.approx(0.65)
 
     def _pass_result(self, evaluations):
         seeds = (0, 1)
@@ -350,7 +347,8 @@ def test_confusion_tuple():
 
 
 # Each public call that takes column indices, with index v passed in place
-# of a valid one, on the rvq population table.
+# of a valid one, on the rvq population table. The oracle_* rows ask the
+# table's ExactOracle.
 _INDEX_CALLS = {
     "FeatureSubset": lambda rvq, v: FeatureSubset((v, 1)),
     "estimate_mi": lambda rvq, v: estimate_mi(rvq.data, [v], TARGET, rvq.cfg),
@@ -360,11 +358,14 @@ _INDEX_CALLS = {
     "theta context": lambda rvq, v: theta(rvq.data, 0, 2, [v], rvq.cfg),
     "brute_force_fws": lambda rvq, v: brute_force_fws(rvq.data, v, rvq.cfg),
     "confusion_counts": lambda rvq, v: confusion_counts(rvq.selection, [v, 1]),
-    "oracle_entropy": lambda rvq, v: oracle_entropy(rvq.data, [v]),
-    "oracle_mi": lambda rvq, v: oracle_mi(rvq.data, [v], TARGET),
-    "oracle_theta i": lambda rvq, v: oracle_theta(rvq.data, v, 2),
-    "oracle_theta j": lambda rvq, v: oracle_theta(rvq.data, 0, v),
-    "oracle_theta context": lambda rvq, v: oracle_theta(rvq.data, 0, 2, [v]),
+    "oracle_entropy": lambda rvq, v: rvq.referee.entropy([v]),
+    "oracle_mi": lambda rvq, v: rvq.referee.mi([v], TARGET),
+    "oracle_cmi a": lambda rvq, v: rvq.referee.cmi([v], TARGET, [1]),
+    "oracle_cmi b": lambda rvq, v: rvq.referee.cmi(TARGET, [v], [1]),
+    "oracle_cmi cond": lambda rvq, v: rvq.referee.cmi(TARGET, [0], [v]),
+    "oracle_theta i": lambda rvq, v: rvq.referee.theta(v, 2),
+    "oracle_theta j": lambda rvq, v: rvq.referee.theta(0, v),
+    "oracle_theta context": lambda rvq, v: rvq.referee.theta(0, 2, [v]),
     "duplicate_feature": lambda rvq, v: duplicate_feature(rvq.data, v),
 }
 
@@ -373,7 +374,8 @@ _INDEX_CALLS = {
 def rvq():
     data = population_table("rvq")
     cfg = default_config(data, repetitions=1)
-    return SimpleNamespace(data=data, cfg=cfg, selection=select_features(run_pidf(data, cfg)))
+    return SimpleNamespace(data=data, cfg=cfg, referee=ExactOracle(data),
+                           selection=select_features(run_pidf(data, cfg)))
 
 
 @pytest.mark.parametrize("call", _INDEX_CALLS)
