@@ -255,10 +255,35 @@ class TestPidfFeatureResult:
                 ThetaEvaluation(1, FeatureSubset(), theta, True)
             assert not ThetaEvaluation(1, FeatureSubset(), theta, False).redundant
 
+    def test_fwr_total_clamps_negative_contributions(self):
+        # No clamp is applied at the total: a negative contribution is
+        # refused when its evaluation is built, so the total never drops
+        # below zero.
+        res = _result(0, 0.5, 0.1, contributions=[(1, 0.2), (2, 0.05)])
+        assert res.fwr_total == pytest.approx(0.25)
+        with pytest.raises(ConfigError, match="redundant theta has mean"):
+            _result(0, 0.5, 0.1, contributions=[(1, 0.2), (2, -0.05)])
+
     def test_mci_oci(self):
         res = _result(0, 0.5, 0.1, contributions=[(1, 0.2)])
         assert res.mci == pytest.approx(0.6)
         assert res.oci == pytest.approx(0.4)
+
+    def test_net_ensemble_subtracts_raw_contributions(self):
+        # A contribution of positive mean can still be negative on one
+        # seed; the per-seed net must subtract that raw value.
+        seeds = (0, 1)
+        theta = EstimateEnsemble((-0.03, 0.01), seeds)
+        res = PidfFeatureResult(
+            index=0,
+            name="f0",
+            mi=EstimateEnsemble.constant(0.5, seeds),
+            fws=EstimateEnsemble.constant(0.1, seeds),
+            candidate_order=(1,),
+            evaluations=(ThetaEvaluation(1, FeatureSubset(), theta, True),),
+        )
+        assert res.net_ensemble().estimates == pytest.approx((0.57, 0.61))
+        assert res.net_ensemble().mean == pytest.approx(0.59)
 
     def _pass_result(self, evaluations):
         seeds = (0, 1)
