@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from typing import Sequence, Union
 
 import numpy as np
@@ -559,10 +559,14 @@ class _KsgSample:
     """
 
     def __init__(self, data: Dataset, kind: Ksg):
+        import threading
+
         self.data = data
         self.kind = kind
         self._rows: dict[int, np.ndarray] = {}
         self._columns: dict[tuple[int, int], np.ndarray] = {}
+        # Concurrent repetitions and passes prepare each (seed, column) once.
+        self._lock = threading.Lock()
 
     def mi(self, left_ids: tuple[int, ...], right_ids: tuple[int, ...],
            rep_seed: int) -> float:
@@ -574,13 +578,16 @@ class _KsgSample:
     def _column(self, col_id: int, rep_seed: int) -> np.ndarray:
         col = self._columns.get((rep_seed, col_id))
         if col is None:
-            rows = self._rows.get(rep_seed)
-            if rows is None:
-                rows = subsample_rows(self.data.n_samples, rep_seed)
-                self._rows[rep_seed] = rows
-            whole = self.data.column(col_id)
-            col = _jittered(whole, col_id, rep_seed)[rows]
-            self._columns[rep_seed, col_id] = col
+            with self._lock:
+                col = self._columns.get((rep_seed, col_id))
+                if col is None:
+                    rows = self._rows.get(rep_seed)
+                    if rows is None:
+                        rows = subsample_rows(self.data.n_samples, rep_seed)
+                        self._rows[rep_seed] = rows
+                    whole = self.data.column(col_id)
+                    col = _jittered(whole, col_id, rep_seed)[rows]
+                    self._columns[rep_seed, col_id] = col
         return col
 
 
@@ -760,24 +767,41 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-@cache
+# The repetition pool, under the key "rep" once made.
+_pools: dict = {}
+
+
 def _pool():
     """The pool that runs the repetitions of ksg and mine estimates: one
     thread per usable CPU, or one thread in a multiprocessing child, whose
     siblings already fill the CPUs. cKDTree and numpy's array kernels
     release the GIL. Made on first use: importing concurrent.futures adds
     about 8 ms to importing this module."""
-    import multiprocessing
-    from concurrent.futures import ThreadPoolExecutor
+    pool = _pools.get("rep")
+    if pool is None:
+        import multiprocessing
+        from concurrent.futures import ThreadPoolExecutor
 
-    threads = 1 if multiprocessing.parent_process() else usable_cpus()
-    return ThreadPoolExecutor(threads, thread_name_prefix="pidf-rep")
+        threads = 1 if multiprocessing.parent_process() else usable_cpus()
+        # Of two first callers, setdefault (atomic) keeps one pool for both;
+        # the other starts no thread, as a pool starts them on its first task.
+        pool = _pools.setdefault(
+            "rep", ThreadPoolExecutor(threads, thread_name_prefix="pidf-rep"))
+    return pool
 
 
 if hasattr(os, "register_at_fork"):
     # A forked child has none of the parent's pool threads, yet the pool
     # would count them as idle and never start new ones.
-    os.register_at_fork(after_in_child=_pool.cache_clear)
+    os.register_at_fork(after_in_child=_pools.clear)
+
+
+def _ready_to_share(data: Dataset, kind: EstimatorKind) -> int:
+    """Make the store of (data, kind) and the repetition pool in the calling
+    thread, so that threads calling estimate_mi at once find both made;
+    return the pool's thread count."""
+    _prepared(data, kind)
+    return _pool()._max_workers
 
 
 def estimate_mi(
@@ -798,8 +822,8 @@ def estimate_mi(
     if cfg.is_deterministic:
         # The plug-in kinds give every repetition the same value.
         return EstimateEnsemble.constant(store.mi(left_ids, right_ids), seeds)
-    # Each repetition draws only from its own seed's streams, and a ksg
-    # repetition fills only its own seed's columns of the store, so no two
-    # threads write the same key.
+    # Each repetition draws only from its own seed's streams, and the ksg
+    # store prepares each (seed, column) once under its lock, so repetitions
+    # and callers running at once read the same columns.
     once = partial(store.mi, left_ids, right_ids)
     return EstimateEnsemble(tuple(_pool().map(once, seeds)), seeds)

@@ -182,11 +182,7 @@ def oracle_pidf(data: Dataset) -> tuple[OracleFeature, ...]:
     lexicographically.
     """
     _require_cap(data, _POWER_SET_CAP, "exhaustive enumeration")
-    return _decompose(ExactOracle(data), data.n_features)
-
-
-def _decompose(oracle: ExactOracle, n_features: int) -> tuple[OracleFeature, ...]:
-    """oracle_pidf's decomposition, asked of a referee the caller holds."""
+    oracle, n_features = ExactOracle(data), data.n_features
     out = []
     for i in range(n_features):
         rest = tuple(f for f in range(n_features) if f != i)
@@ -206,17 +202,14 @@ def _decompose(oracle: ExactOracle, n_features: int) -> tuple[OracleFeature, ...
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Direct evaluation of the two decomposition statements on one dataset.
+    """Direct evaluation of the candidate-effect bounds on one dataset.
 
-    ``max_identity_residual``: worst-case absolute error, over features, of
-    mci - fwr against the direct marginal information I(Y;all) - I(Y;rest).
     ``bound_violations``: number of (i, j, context) triples whose
     candidate-effect value escapes [-I(F_i;F_j), 2H(F_i) - I(F_i;F_j)]
     beyond tolerance. The bounds presume features never combine
     synergistically to describe other features (see assumption_max_violation).
     """
 
-    max_identity_residual: float
     bound_violations: int
     n_theta_checked: int
 
@@ -225,13 +218,6 @@ def check_theorems(data: Dataset) -> TheoremReport:
     _require_cap(data, _CHECK_CAP, "theorem checking")
     oracle = ExactOracle(data)
     all_features = tuple(range(data.n_features))
-
-    max_residual = 0.0
-    for feat in _decompose(oracle, data.n_features):
-        rest = frozenset(f for f in all_features if f != feat.index)
-        direct = oracle._mi(_Y, frozenset(all_features)) - oracle._mi(_Y, rest)
-        max_residual = max(max_residual, abs((feat.mci - feat.fwr) - direct))
-
     violations = 0
     n_checked = 0
     for i in all_features:
@@ -248,7 +234,7 @@ def check_theorems(data: Dataset) -> TheoremReport:
                 n_checked += 1
                 if lower - value > TOLERANCE or value - upper > TOLERANCE:
                     violations += 1
-    return TheoremReport(max_residual, violations, n_checked)
+    return TheoremReport(violations, n_checked)
 
 
 def assumption_max_violation(data: Dataset) -> float:

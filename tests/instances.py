@@ -26,7 +26,7 @@ import random
 
 import numpy as np
 
-from pidf import ColumnKind, Dataset
+from pidf import TARGET, ColumnKind, Dataset, ExactOracle, FeatureSubset, run_pidf
 
 MAX_FEATURES = 5
 MAX_STATES = 4
@@ -138,4 +138,17 @@ def random_dataset(seed: int, max_features: int = 4, max_rows: int = 300) -> Dat
         target_kind=ColumnKind.discrete(t_card),
         seed=seed,
         source=f"random:{seed}",
+    )
+
+
+def net_identity_residual(data: Dataset) -> float:
+    """The worst error, over features i, of the default run's net
+    contribution of i against I(Y; all) - I(Y; all but i) from the exact
+    referee: the identity that ``pidf verify`` checks."""
+    referee = ExactOracle(data)
+    everything = FeatureSubset.full(data.n_features)
+    total = referee.mi(TARGET, everything)
+    return max(
+        abs(res.net_ensemble().mean - (total - referee.mi(TARGET, everything - {res.index})))
+        for res in run_pidf(data).results
     )

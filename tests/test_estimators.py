@@ -1143,7 +1143,7 @@ class TestRepetitionPool:
     def test_fork_child_runs_ksg_after_the_parent(self):
         data = gaussian_table(1000, 8)
         expected = report_json(data)
-        assert estimators._pool.cache_info().currsize == 1
+        assert "rep" in estimators._pools
         ctx = multiprocessing.get_context("fork")
         results = ctx.Queue()
         child = ctx.Process(target=put_report_json, args=(data, results))

@@ -30,6 +30,8 @@ from pidf.oracle import (
     oracle_pidf,
 )
 
+from instances import net_identity_residual
+
 LN2 = math.log(2.0)
 F = FeatureSubset.of
 
@@ -206,9 +208,14 @@ class TestTheoremChecks:
     def test_identity_and_bounds_clean(self, dataset_id):
         data = datasets.population_table(dataset_id)
         report = check_theorems(data)
-        assert report.max_identity_residual <= 1e-9
+        assert net_identity_residual(data) <= 1e-9
         assert report.bound_violations == 0
         assert assumption_holds(data)
+
+    @pytest.mark.parametrize("dataset_id", ["terc1", "terc2"])
+    def test_identity_under_the_pair_rule(self, dataset_id):
+        data = datasets.population_table(dataset_id, "pair")
+        assert net_identity_residual(data) <= 1e-9
 
     @pytest.mark.parametrize("dataset_id", ["msq", "sg"])
     def test_bounds_require_the_precondition(self, dataset_id):
@@ -216,7 +223,7 @@ class TestTheoremChecks:
         effect bounds, but never the net-contribution identity."""
         data = datasets.population_table(dataset_id)
         report = check_theorems(data)
-        assert report.max_identity_residual <= 1e-9
+        assert net_identity_residual(data) <= 1e-9
         assert not assumption_holds(data)
         assert report.bound_violations > 0
 
