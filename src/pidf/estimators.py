@@ -196,6 +196,22 @@ def _dense(code: np.ndarray, span: int) -> tuple[np.ndarray, int]:
     return rank, distinct.shape[0]
 
 
+def _distinct_rows(code: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """How many rows hold each distinct code in [0, span), and a row that
+    holds it, both in code order."""
+    # Marked below span = 4n and sorted above, as in _dense.
+    n = code.shape[0]
+    if span <= 4 * n:
+        counts = np.bincount(code)
+        present = counts > 0
+        row = np.empty(counts.shape[0], dtype=np.intp)
+        row[code] = np.arange(n)
+        return counts[present], row[present]
+    code = code.astype(np.min_scalar_type(-span), copy=False)
+    _, row, counts = np.unique(code, return_index=True, return_counts=True)
+    return counts, row
+
+
 def _code_counts(code: np.ndarray, span: int, weights: np.ndarray | None,
                  n: int) -> np.ndarray:
     """How many of the n rows hold each code in [0, span); absent codes may
@@ -323,9 +339,11 @@ class _PluginTable:
     How a group is coded depends on its width alone. Singletons and pairs
     of columns of small radix read their row counts from one count table of
     indicator products (see _pair_counts), built on the first such request
-    while the indicators stay within _TABLE_WIDTH rows. A group that lacks
-    fewer covered columns than it would fold is coded from the products of
-    them all (_complement). Every other group folds its own columns.
+    while the indicators stay within _TABLE_WIDTH rows; the build stores
+    the entropy of every singleton and pair it holds (_remember_blocks). A
+    group that lacks fewer covered columns than it would fold is coded from
+    the products of them all (_complement). Every other group folds its own
+    columns.
 
     A group's entropy depends only on the sorted multiset of its row
     counts, never on column order or on how rows are kept, coded or
@@ -349,6 +367,9 @@ class _PluginTable:
         # Each product's code on the kept rows and its bound, with each of
         # its columns' place value and largest weighted digit in it.
         self._parts: list[tuple[np.ndarray, int, dict[int, tuple[int, int]]]] = []
+        # Column id -> its digits on the kept rows times its place value;
+        # while rows are weighted, each is kept from its first use.
+        self._placed: dict[int, np.ndarray] = {}
         # exact covers only discrete columns: a continuous one cast to digits
         # can have a huge or negative maximum.
         binned = isinstance(kind, Binned)
@@ -358,40 +379,35 @@ class _PluginTable:
             self._code_all(covered)
 
     def mi(self, left: tuple[int, ...], right: tuple[int, ...]) -> float:
-        columns = {*left, *right}
-        # Only exact leaves columns uncovered: the continuous ones.
-        if not self._digits.keys() >= columns:
-            raise EstimatorError(
-                "exact discrete estimator requires discrete columns; "
-                "declare bins or use a continuous-capable estimator"
-            )
         # I(G;G) keys its joint as G itself, so it stays H(G).
-        joint = tuple(sorted(columns))
-        return max(0.0, self.entropy(left) + self.entropy(right) - self.entropy(joint))
+        joint = left + right if left[-1] < right[0] else tuple(sorted({*left, *right}))
+        known = self._entropies.get
+        terms = known(left), known(right), known(joint)
+        if None in terms:
+            # Only exact leaves columns uncovered: the continuous ones.
+            if not self._digits.keys() >= set(joint):
+                raise EstimatorError(
+                    "exact discrete estimator requires discrete columns; "
+                    "declare bins or use a continuous-capable estimator"
+                )
+            terms = self.entropy(left), self.entropy(right), self.entropy(joint)
+        return max(0.0, terms[0] + terms[1] - terms[2])
 
     def entropy(self, ids: tuple[int, ...]) -> float:
         """H of the sorted column group ids, in nats."""
-        if ids not in self._entropies:
-            if self._tabled(ids):
-                block = self._counts[self._rows[ids[0]], self._rows[ids[-1]]]
-                self._remember(ids, np.diagonal(block) if len(ids) == 1 else block)
-            else:
-                columns = (self._complement(ids) if self._near_full(ids)
-                           else [self._digits[i] for i in ids])
-                n = self.data.n_samples
-                rows = n if self._weights is None else self._weights.shape[0]
-                code, span = _fold_rows(columns, rows)
-                self._remember(ids, _code_counts(code, span, self._weights, n))
-        return self._entropies[ids]
-
-    def _tabled(self, ids: tuple[int, ...]) -> bool:
-        """Whether the count table holds group ids; builds it on the first
-        singleton or pair."""
-        if len(ids) > 2:
-            return False
-        if self._rows is None:
+        value = self._entropies.get(ids)
+        if value is None and len(ids) <= 2 and self._rows is None:
             self._build_table()
-        return ids[0] in self._rows and ids[-1] in self._rows
+            value = self._entropies.get(ids)
+        if value is None:
+            columns = (self._complement(ids) if self._near_full(ids)
+                       else [self._digits[i] for i in ids])
+            n = self.data.n_samples
+            rows = n if self._weights is None else self._weights.shape[0]
+            code, span = _fold_rows(columns, rows)
+            self._remember(ids, _code_counts(code, span, self._weights, n))
+            value = self._entropies[ids]
+        return value
 
     def _near_full(self, ids: tuple[int, ...]) -> bool:
         """Whether group ids is coded from the products of every covered
@@ -400,6 +416,8 @@ class _PluginTable:
         return len(self._digits) - len(ids) < len(ids) - 1
 
     def _build_table(self) -> None:
+        """Count every singleton and pair of the columns of small radix in
+        one table, and remember the entropy of each."""
         radices = {i: r for i, (_, r) in self._digits.items() if r <= _TABLE_RADIX}
         self._rows = {}
         if 0 < sum(radices.values()) <= _TABLE_WIDTH:
@@ -407,6 +425,36 @@ class _PluginTable:
             self._rows = {i: slice(a, b) for i, a, b in zip(radices, tops, tops[1:])}
             self._counts = _pair_counts([self._digits[i][0] for i in radices],
                                         list(radices.values()), self._weights)
+            self._remember_blocks(radices)
+
+    def _remember_blocks(self, radices: dict[int, int]) -> None:
+        """Store H of every singleton and pair the count table holds.
+
+        Each column's indicator rows are padded to the largest radix, so
+        that every block is a cell of one array; the singletons' counts and
+        the pairs' are each sorted in one call, zeros first. Each block's
+        positive counts are then one contiguous run, holding the array
+        _remember would make, and go through the same _entropy.
+        """
+        ids, n = list(radices), self.data.n_samples
+        width, tall = len(ids), max(radices.values())
+        padded = self._counts
+        if min(radices.values()) < tall:
+            at = [k * tall + v for k, i in enumerate(ids) for v in range(radices[i])]
+            padded = np.zeros((width * tall, width * tall), dtype=np.int64)
+            padded[np.ix_(at, at)] = self._counts
+        # blocks[a, b] holds the counts of columns ids[a] and ids[b].
+        blocks = padded.reshape(width, tall, width, tall).swapaxes(1, 2).reshape(
+            width, width, tall * tall)
+        own = np.arange(width)
+        a, b = np.triu_indices(width, 1)
+        groups = iter([*((i,) for i in ids),
+                       *((ids[k], ids[m]) for k, m in zip(a.tolist(), b.tolist()))])
+        for counts in (blocks[own, own, ::tall + 1], blocks[a, b]):
+            counts.sort(axis=1)
+            starts = np.count_nonzero(counts == 0, axis=1).tolist()
+            for row, start in zip(counts, starts):
+                self._entropies[next(groups)] = _entropy(row[start:], n)
 
     def _code_all(self, covered: tuple[int, ...]) -> None:
         """Code every row of the covered columns, remember their joint's
@@ -442,14 +490,12 @@ class _PluginTable:
             span *= radices[i]
         codes = [self._product(part, radices, ready) for part in parts]
         code, span = _fold_rows([(code, span) for code, span, _ in codes], n)
-        rank, distinct = _dense(code, span)
-        weights = np.bincount(rank)
+        weights, held = _distinct_rows(code, span)
         self._remember(covered, weights)
         kept = slice(None)  # every row
-        if distinct <= _DISTINCT_SHARE * n:
-            # Rows of one rank hold the same digits, so any of them will do.
-            kept = np.empty(distinct, dtype=np.intp)
-            kept[rank] = np.arange(n)
+        if weights.shape[0] <= _DISTINCT_SHARE * n:
+            # Rows of one code hold the same digits, so any of them will do.
+            kept = held
             self._weights = weights
         self._parts = [(code[kept], span, places) for code, span, places in codes]
         # Kept, every distinct state is there, so each radix is the one of
@@ -491,20 +537,29 @@ class _PluginTable:
         for code, span, places in self._parts:
             for i in places.keys() - group:
                 place, top = places[i]
-                code = code - self._digits[i][0] * np.int64(place)
+                code = code - self._placed_digits(i, place)
                 span -= top
             columns.append((code, span))
         return columns
 
+    def _placed_digits(self, col_id: int, place: int) -> np.ndarray:
+        """A column's digits on the kept rows times its place value. While
+        rows are weighted there are few of them, and each column's are kept:
+        a 20,000-row table of 1,024 kept rows keeps 8 KiB a column."""
+        placed = self._placed.get(col_id)
+        if placed is None:
+            placed = self._digits[col_id][0] * np.int64(place)
+            if self._weights is not None:
+                self._placed[col_id] = placed
+        return placed
+
     def _remember(self, ids: tuple[int, ...], counts: np.ndarray) -> None:
         """Store H of group ids from its row counts, zeros allowed."""
-        n = self.data.n_samples
-        # Sorted, the summation order depends only on the count multiset.
         # Weighted counts come as floats; as integers, they enter the same
         # product as counts of all the rows.
         counts = counts[counts > 0].astype(np.int64, copy=False)
         counts.sort()
-        self._entropies[ids] = max(0.0, math.log(n) - float(counts @ np.log(counts)) / n)
+        self._entropies[ids] = _entropy(counts, self.data.n_samples)
 
     def _digitize(self, col_id: int) -> tuple[np.ndarray, int]:
         """The digits on all rows, and their radix, of a column that the
@@ -515,6 +570,16 @@ class _PluginTable:
         if not kind.is_discrete:
             return _narrow(_bin_column(col, kind, self.kind.bins))
         return _narrow(np.unique(col, return_inverse=True)[1])
+
+
+def _entropy(counts: np.ndarray, n: int) -> float:
+    """H in nats of n rows from their positive int64 row counts, sorted.
+
+    Sorted, the summation order depends only on the count multiset. For two
+    vectors, np.dot and @ reach the same float64 dot (one BLAS ddot) with
+    the same cast operands; np.dot costs less to call.
+    """
+    return max(0.0, math.log(n) - float(np.dot(counts, np.log(counts))) / n)
 
 
 def _narrow(col: np.ndarray) -> tuple[np.ndarray, int]:
@@ -623,7 +688,8 @@ _store: _PluginTable | _KsgSample | _MineSample | None = None
 def _prepared(data: Dataset, kind: EstimatorKind) -> _PluginTable | _KsgSample | _MineSample:
     """The store of (data, kind)."""
     global _store
-    if _store is None or _store.data is not data or _store.kind != kind:
+    if _store is None or _store.data is not data or (
+            _store.kind is not kind and _store.kind != kind):
         _store = _STORES[type(kind)](data, kind)
     return _store
 

@@ -71,15 +71,13 @@ def significantly_positive(
     (a value of exactly eps_zero is not significant). Stochastic ensembles
     run a one-sided Student-t test of mean > 0 at level alpha; the p-value
     is the t survival function, P(T > stat) = stdtr(n - 1, -stat).
+
+    This checks alpha and eps_zero, then decides in _positive, the one
+    significance test; run_pidf checks them once and calls _positive.
     """
     require_alpha(alpha)
     require_nonnegative(eps_zero, "eps_zero")
-    if ensemble.is_deterministic:
-        return ensemble.mean > eps_zero
-    from scipy.special import stdtr
-
-    stat = ensemble.mean / (ensemble.std / ensemble.n**0.5)
-    return float(stdtr(ensemble.n - 1, -stat)) < alpha
+    return _positive(ensemble, alpha, eps_zero)
 
 
 def is_redundant(
@@ -95,13 +93,32 @@ def is_redundant(
     return significantly_positive(ensemble.map(operator.neg), alpha, eps_zero)
 
 
+def _positive(ensemble: EstimateEnsemble, alpha: float, eps_zero: float) -> bool:
+    """significantly_positive's decision, for an alpha and eps_zero already
+    checked."""
+    if ensemble.is_deterministic:
+        return ensemble.mean > eps_zero
+    from scipy.special import stdtr
+
+    stat = ensemble.mean / (ensemble.std / ensemble.n**0.5)
+    return float(stdtr(ensemble.n - 1, -stat)) < alpha
+
+
+def _redundant(ensemble: EstimateEnsemble, alpha: float, eps_zero: float) -> bool:
+    """is_redundant's decision, for an alpha and eps_zero already checked."""
+    return _positive(ensemble.map(operator.neg), alpha, eps_zero)
+
+
 class MiCache:
     """Memoizes MI ensembles per column-group pair for one (data, cfg) run.
 
     Keys are the groups' sorted column ids, canonicalized so I(A;B) and
     I(B;A) share one entry computed in one fixed orientation, making
     symmetry bit-exact even for estimators that are only statistically
-    symmetric. A miss passes the resolved ids (TARGET for the target) to
+    symmetric. A lookup resolves each group argument once (_group_ids); the
+    cache a run makes for its passes (_of_resolved_ids) takes TARGET or a
+    sorted tuple of feature ids in range as it is, since the passes build
+    no other. A miss passes the resolved ids (TARGET for the target) to
     estimate_mi, whose per-dataset store bins and casts each column once
     and, for the plug-in kinds, computes each column group's entropy once.
 
@@ -119,11 +136,24 @@ class MiCache:
         # Key -> its ensemble, the error its estimate raised, or its latch.
         self._cache: dict[tuple[tuple[int, ...], tuple[int, ...]], object] = {}
         self._new_latch = threading.Lock
+        self._resolved = False
+
+    @classmethod
+    def _of_resolved_ids(cls, data: Dataset, cfg: EstimatorConfig) -> "MiCache":
+        """A cache whose callers pass only TARGET or sorted tuples of
+        feature ids in range, which it takes as they are."""
+        cache = cls(data, cfg)
+        cache._resolved = True
+        return cache
 
     def mi(self, left, right) -> EstimateEnsemble:
         """I(left; right), for groups as estimate_mi takes them."""
-        left_ids = _group_ids(left, self.data.n_features)
-        right_ids = _group_ids(right, self.data.n_features)
+        if self._resolved:
+            left_ids = _TARGET_IDS if left is TARGET else left
+            right_ids = _TARGET_IDS if right is TARGET else right
+        else:
+            left_ids = _group_ids(left, self.data.n_features)
+            right_ids = _group_ids(right, self.data.n_features)
         if right_ids < left_ids:
             left_ids, right_ids = right_ids, left_ids
         key = (left_ids, right_ids)
@@ -157,9 +187,12 @@ class MiCache:
         return hit
 
 
+_TARGET_IDS = (_TARGET_ID,)
+
+
 def _group(ids: tuple[int, ...]):
     """The group argument of resolved ids: TARGET for the target's."""
-    return TARGET if ids == (_TARGET_ID,) else ids
+    return TARGET if ids == _TARGET_IDS else ids
 
 
 def _with(ids: tuple[int, ...], *more: int) -> tuple[int, ...]:
@@ -190,8 +223,13 @@ def theta(
         raise ConfigError("feature and candidate must differ")
     if {feature, candidate, _TARGET_ID} & set(ctx):
         raise ConfigError("context must exclude the target, feature and candidate")
-    if cache is None:
-        cache = MiCache(data, cfg)
+    return _theta(MiCache(data, cfg) if cache is None else cache, feature, candidate, ctx)
+
+
+def _theta(cache: MiCache, feature: int, candidate: int,
+           ctx: tuple[int, ...]) -> EstimateEnsemble:
+    """theta of resolved ids: a feature, another as the candidate, and the
+    sorted context, which holds neither."""
     with_candidate = cache.mi(TARGET, _with(ctx, feature, candidate))
     base_candidate = cache.mi(TARGET, _with(ctx, candidate))
     with_feature = cache.mi(TARGET, _with(ctx, feature))
@@ -271,10 +309,10 @@ def run_pidf(
     require_nonnegative(eps_zero, "eps_zero")
     if data.n_features < 1:
         raise ConfigError("need at least one feature")
-    # Lookups pass sorted id tuples; FeatureSubsets are built only for
-    # what the report holds.
+    # alpha and eps_zero are checked above, and lookups pass sorted id
+    # tuples; FeatureSubsets are built only for what the report holds.
     n_features = data.n_features
-    cache = MiCache(data, cfg)
+    cache = MiCache._of_resolved_ids(data, cfg)
 
     def one_pass(i: int) -> PidfFeatureResult:
         name = data.feature_names[i]
@@ -287,17 +325,17 @@ def run_pidf(
         surviving = [j for j in range(n_features) if j != i]
         evaluations = []
         for j in order:
-            if not significantly_positive(pairwise[j], alpha, eps_zero):
+            if not _positive(pairwise[j], alpha, eps_zero):
                 continue
-            context = FeatureSubset(k for k in surviving if k != j)
+            context = tuple(k for k in surviving if k != j)
             try:
-                th = theta(data, i, j, context, cfg, cache)
+                th = _theta(cache, i, j, context)
             except EstimatorError as err:
                 raise EstimatorError(
                     f"feature {name!r}, candidate {data.feature_names[j]!r}: {err}"
                 ) from err
-            verdict = is_redundant(th, alpha, eps_zero)
-            evaluations.append(ThetaEvaluation(j, context, th, verdict))
+            verdict = _redundant(th, alpha, eps_zero)
+            evaluations.append(ThetaEvaluation(j, FeatureSubset(context), th, verdict))
             if verdict:
                 surviving.remove(j)
         partners = tuple(surviving)

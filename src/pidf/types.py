@@ -123,7 +123,7 @@ class FeatureSubset:
     indices: tuple[int, ...]
 
     def __init__(self, indices: Iterable[int] = ()) -> None:
-        canonical = _canonical_ids(indices)
+        canonical = indices if _sorted_ints(indices) else _canonical_ids(indices)
         if canonical and canonical[0] < 0:
             raise ConfigError("feature indices must be non-negative")
         object.__setattr__(self, "indices", canonical)
@@ -139,11 +139,11 @@ class FeatureSubset:
 
     def __sub__(self, other: "FeatureSubset | Iterable[int]") -> "FeatureSubset":
         drop = set(other)
-        return FeatureSubset(i for i in self.indices if i not in drop)
+        return FeatureSubset(tuple(i for i in self.indices if i not in drop))
 
     def __and__(self, other: "FeatureSubset | Iterable[int]") -> "FeatureSubset":
         keep = set(other)
-        return FeatureSubset(i for i in self.indices if i in keep)
+        return FeatureSubset(tuple(i for i in self.indices if i in keep))
 
     @staticmethod
     def of(*indices: int) -> "FeatureSubset":
@@ -174,6 +174,9 @@ def _column_index(value: Any) -> int:
 
 def _canonical_ids(indices: Iterable[Any]) -> tuple[int, ...]:
     """The distinct column indices, each a whole number, sorted."""
+    indices = tuple(indices)
+    if set(map(type, indices)) <= {int}:  # nothing to check or convert
+        return tuple(sorted(set(indices)))
     return tuple(sorted({_column_index(i) for i in indices}))
 
 
@@ -234,6 +237,9 @@ class EstimateEnsemble:
             raise ConfigError("an ensemble needs at least one estimate")
         if not all(map(math.isfinite, self.estimates)):
             raise EstimatorError(f"non-finite estimate in ensemble: {self.estimates}")
+        # Whether every estimate equals the first; mean and std read it.
+        object.__setattr__(self, "_all_equal", self.estimates.count(
+            self.estimates[0]) == len(self.estimates))
 
     @property
     def n(self) -> int:
@@ -241,24 +247,31 @@ class EstimateEnsemble:
 
     @property
     def mean(self) -> float:
-        first = self.estimates[0]
-        if self.estimates.count(first) == self.n:
-            return first
+        if self._all_equal:
+            return self.estimates[0]
         return float(np.mean(self.estimates))
 
     @property
     def std(self) -> float:
-        if self.estimates.count(self.estimates[0]) == self.n:
+        if self._all_equal:
             return 0.0
         return float(np.std(self.estimates, ddof=1))
 
     @property
     def is_deterministic(self) -> bool:
-        return self.n == 1 or self.std == 0.0
+        return self._all_equal or self.std == 0.0
 
     @staticmethod
     def constant(value: float, seeds: Sequence[int]) -> "EstimateEnsemble":
-        return EstimateEnsemble((float(value),) * len(seeds), tuple(seeds))
+        """value at every seed. Every plug-in estimate is one, so a finite
+        value is checked once and its copies are set as they are: what the
+        constructor would check and set, at under half its cost."""
+        value, seeds = float(value), tuple(seeds)
+        if not (seeds and math.isfinite(value)):
+            return EstimateEnsemble((value,) * len(seeds), seeds)  # and raises
+        ens = object.__new__(EstimateEnsemble)
+        ens.__dict__.update(estimates=(value,) * len(seeds), seeds=seeds, _all_equal=True)
+        return ens
 
     @staticmethod
     def linear(
@@ -267,7 +280,8 @@ class EstimateEnsemble:
         """Per-seed linear combination ``sum(coef * ensemble)``.
 
         All ensembles must share the same seed tuple so that per-repetition
-        values combine coherently.
+        values combine coherently. Where every term repeats one value, the
+        sum is taken once and repeated, with the bits of each seed's sum.
         """
         if not terms:
             raise ConfigError("linear combination needs at least one term")
@@ -275,6 +289,11 @@ class EstimateEnsemble:
         for _, ens in terms:
             if ens.seeds != seeds:
                 raise ConfigError("ensembles in a linear combination must share seeds")
+        repeated = [ens._repeated() for _, ens in terms]
+        if None not in repeated:
+            # Each seed would sum the same products in the same order.
+            value = float(sum(coef * v for (coef, _), v in zip(terms, repeated)))
+            return EstimateEnsemble.constant(value, seeds)
         values = tuple(
             float(sum(coef * ens.estimates[r] for coef, ens in terms))
             for r in range(len(seeds))
@@ -282,7 +301,22 @@ class EstimateEnsemble:
         return EstimateEnsemble(values, seeds)
 
     def map(self, fn: Any) -> "EstimateEnsemble":
+        """fn of each estimate, for an fn of the estimate alone: a repeated
+        value is mapped once."""
+        value = self._repeated()
+        if value is not None:
+            return EstimateEnsemble.constant(fn(value), self.seeds)
         return EstimateEnsemble(tuple(float(fn(e)) for e in self.estimates), self.seeds)
+
+    def _repeated(self) -> float | None:
+        """The estimate every seed holds bit for bit, or None."""
+        first = self.estimates[0]
+        if not self._all_equal:
+            return None
+        # 0.0 == -0.0, but their bits differ.
+        if first == 0.0 and len({math.copysign(1.0, e) for e in self.estimates}) > 1:
+            return None
+        return first
 
 
 @dataclass(frozen=True)
@@ -476,8 +510,9 @@ class PidfFeatureResult:
                           key=operator.attrgetter("candidate"))
         object.__setattr__(self, "related_set",
                            FeatureSubset(ev.candidate for ev in self.evaluations))
+        removed = {ev.candidate for ev in removals}
         object.__setattr__(self, "max_synergy_set", FeatureSubset(
-            self.candidate_order) - [ev.candidate for ev in removals])
+            i for i in self.candidate_order if i not in removed))
         object.__setattr__(self, "fwr_contributions", tuple(
             (ev.candidate, ev.theta.map(operator.neg)) for ev in removals))
 

@@ -500,17 +500,29 @@ class TestPluginTable:
     def test_run_computes_each_group_entropy_once(self, monkeypatch):
         from test_plugin_pins import binary_table
 
-        stored = []
-        real = estimators._PluginTable._remember
+        # Every entropy is computed by _entropy and stored once: the count
+        # table's pass stores all 91 singletons and pairs of its 13 columns
+        # when it is built, and _remember the other 30 groups.
+        computed, remembered = [], []
+        real_entropy, real_remember = estimators._entropy, estimators._PluginTable._remember
 
-        def counted(self, ids, counts):
-            stored.append(ids)
-            return real(self, ids, counts)
+        def entropy(counts, n):
+            computed.append(n)
+            return real_entropy(counts, n)
 
-        monkeypatch.setattr(estimators._PluginTable, "_remember", counted)
-        run_pidf(binary_table(20000, 12, 1))
-        assert len(stored) == 121
-        assert len(set(stored)) == 121
+        def remember(self, ids, counts):
+            remembered.append(ids)
+            return real_remember(self, ids, counts)
+
+        monkeypatch.setattr(estimators, "_entropy", entropy)
+        monkeypatch.setattr(estimators._PluginTable, "_remember", remember)
+        data = binary_table(20000, 12, 1)
+        run_pidf(data)
+        store = estimators._prepared(data, ExactDiscrete())
+        assert len(computed) == 121
+        assert len(store._entropies) == 121
+        assert len(remembered) == len(set(remembered)) == 30
+        assert all(len(ids) > 2 for ids in remembered)
 
     def test_run_codes_each_group_by_its_width(self, monkeypatch):
         from test_plugin_pins import binary_table

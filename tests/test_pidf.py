@@ -30,7 +30,10 @@ from pidf import (
     theta,
 )
 from pidf import estimators
+from pidf import pidf as pass_module
+from pidf import types
 from pidf.datasets import POPULATION_IDS, TERC_RULES
+from pidf.pidf import DEFAULT_ALPHA, DEFAULT_EPS_ZERO
 
 LN2 = math.log(2.0)
 SEEDS = (0, 1, 2)
@@ -127,6 +130,40 @@ class TestSignificanceRules:
             is_redundant(ens(-1.0), eps_zero=eps_zero)
 
 
+# Each deterministic decision as the public function takes it and as the
+# pass makes it, once run_pidf has checked alpha and eps_zero.
+POSITIVE = {
+    "significantly_positive": significantly_positive,
+    "_positive": lambda e: pass_module._positive(e, DEFAULT_ALPHA, DEFAULT_EPS_ZERO),
+}
+REDUNDANT = {
+    "is_redundant": is_redundant,
+    "_redundant": lambda e: pass_module._redundant(e, DEFAULT_ALPHA, DEFAULT_EPS_ZERO),
+}
+ABOVE_EPS = math.nextafter(DEFAULT_EPS_ZERO, math.inf)
+
+
+class TestEpsZeroBoundary:
+    """A deterministic value of exactly eps_zero is no effect, and the next
+    float above it is one, whichever way the decision is reached."""
+
+    @pytest.mark.parametrize("decide", POSITIVE)
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_positive_only_above_eps_zero(self, decide, n):
+        at = EstimateEnsemble.constant(DEFAULT_EPS_ZERO, range(n))
+        above = EstimateEnsemble.constant(ABOVE_EPS, range(n))
+        assert not POSITIVE[decide](at)
+        assert POSITIVE[decide](above)
+
+    @pytest.mark.parametrize("decide", REDUNDANT)
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_redundant_only_below_minus_eps_zero(self, decide, n):
+        at = EstimateEnsemble.constant(-DEFAULT_EPS_ZERO, range(n))
+        below = EstimateEnsemble.constant(-ABOVE_EPS, range(n))
+        assert not REDUNDANT[decide](at)
+        assert REDUNDANT[decide](below)
+
+
 class TestMiCache:
     def test_memoizes(self):
         data = population_table("rvq")
@@ -167,6 +204,54 @@ class TestMiCache:
         a = cache.mi(TARGET, (0, 2, 5))
         assert cache.mi(FeatureSubset.of(5, 0, 2), TARGET) is a
         assert cache.mi(TARGET, [5, 2, 0, 2]) is a
+
+    def test_every_spelling_of_a_group_shares_one_entry(self, monkeypatch):
+        calls = []
+        estimate = estimators.estimate_mi
+
+        def recorded(*args):
+            calls.append(args[1:3])
+            return estimate(*args)
+
+        monkeypatch.setattr(estimators, "estimate_mi", recorded)
+        data = population_table("terc2")
+        cache = MiCache(data, default_config(data))
+        first = cache.mi(TARGET, (2, 0))
+        spellings = (lambda: [0, 2], lambda: iter([0, 2]),
+                     lambda: FeatureSubset.of(0, 2), lambda: (0, 2))
+        for group in spellings:
+            assert cache.mi(TARGET, group()) is first
+            assert cache.mi(group(), TARGET) is first
+        assert calls == [(TARGET, (0, 2))]
+        assert list(cache._cache) == [((-1,), (0, 2))]
+
+    def test_a_run_resolves_no_group_twice(self, monkeypatch):
+        # The pass hands the cache resolved ids, so the only resolutions
+        # left are estimate_mi's own two per miss.
+        from test_plugin_pins import binary_table
+
+        counts = {"lookups": 0, "misses": 0, "resolved": 0}
+        lookup, estimate, resolve = MiCache.mi, estimators.estimate_mi, types._group_ids
+
+        def counted_lookup(cache, left, right):
+            counts["lookups"] += 1
+            return lookup(cache, left, right)
+
+        def counted_estimate(*args):
+            counts["misses"] += 1
+            return estimate(*args)
+
+        def counted_resolve(*args):
+            counts["resolved"] += 1
+            return resolve(*args)
+
+        monkeypatch.setattr(MiCache, "mi", counted_lookup)
+        monkeypatch.setattr(estimators, "estimate_mi", counted_estimate)
+        for module in (types, estimators, pass_module):
+            monkeypatch.setattr(module, "_group_ids", counted_resolve)
+        run_pidf(binary_table(20000, 12, 1))
+        assert counts["lookups"] == 184 and counts["misses"] == 93
+        assert counts["resolved"] <= 2 * counts["misses"]
 
 
 class TestBenchmarkHooks:

@@ -3,10 +3,13 @@
 import dataclasses
 import json
 import math
+import operator
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pidf import (
     BITS,
@@ -42,6 +45,23 @@ from pidf import (
 )
 
 LN2 = math.log(2.0)
+
+# Estimates with both signs of zero among them: 0.0 == -0.0, but their
+# bits differ.
+ESTIMATES = st.floats(min_value=-1e6, max_value=1e6) | st.sampled_from((0.0, -0.0))
+
+
+@st.composite
+def ensembles(draw, n):
+    """An ensemble of n seeds: constant half the time, else any estimates."""
+    if draw(st.booleans()):
+        return EstimateEnsemble.constant(draw(ESTIMATES), range(n))
+    return EstimateEnsemble(tuple(draw(st.lists(ESTIMATES, min_size=n, max_size=n))),
+                            tuple(range(n)))
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
 
 
 class TestConvertUnits:
@@ -127,6 +147,32 @@ class TestEstimateEnsemble:
     def test_map(self):
         ens = EstimateEnsemble((1.0, -2.0), (0, 1))
         assert ens.map(lambda e: -e).estimates == (-1.0, 2.0)
+
+    def test_constant_checks_as_the_constructor_does(self):
+        from pidf import EstimatorError
+
+        ens = EstimateEnsemble.constant(1, range(3))
+        assert ens == EstimateEnsemble((1.0, 1.0, 1.0), (0, 1, 2))
+        assert type(ens.estimates[0]) is float and ens.is_deterministic
+        with pytest.raises(EstimatorError, match="non-finite"):
+            EstimateEnsemble.constant(math.inf, range(2))
+        with pytest.raises(ConfigError, match="at least one"):
+            EstimateEnsemble.constant(0.5, ())
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_linear_and_map_give_the_per_seed_bits(self, data):
+        # Constant terms take the combination once; it must have the bits
+        # of each seed's own sum, written out here, and so must map.
+        n = data.draw(st.integers(min_value=1, max_value=5), label="seeds")
+        coefs = st.sampled_from((1.0, -1.0, 0.5, -2.0, 3.0))
+        terms = data.draw(st.lists(st.tuples(coefs, ensembles(n)), min_size=1, max_size=5))
+        combined = EstimateEnsemble.linear(terms)
+        per_seed = [sum(coef * ens.estimates[r] for coef, ens in terms) for r in range(n)]
+        assert hexes(combined.estimates) == hexes(per_seed)
+        for fn in (operator.neg, abs, lambda v: 2.0 * v - 0.0):
+            for ens in (combined, *(ens for _, ens in terms)):
+                assert hexes(ens.map(fn).estimates) == hexes(fn(e) for e in ens.estimates)
 
 
 class TestDatasetValidation:
