@@ -630,7 +630,8 @@ class _KsgSample:
         self.kind = kind
         self._rows: dict[int, np.ndarray] = {}
         self._columns: dict[tuple[int, int], np.ndarray] = {}
-        # Concurrent repetitions and passes prepare each (seed, column) once.
+        # A round's (key, seed) tasks run at once and may ask for one
+        # column together: each (seed, column) is prepared once.
         self._lock = threading.Lock()
 
     def mi(self, left_ids: tuple[int, ...], right_ids: tuple[int, ...],
@@ -838,11 +839,11 @@ _pools: dict = {}
 
 
 def _pool():
-    """The pool that runs the repetitions of ksg and mine estimates: one
-    thread per usable CPU, or one thread in a multiprocessing child, whose
-    siblings already fill the CPUs. cKDTree and numpy's array kernels
-    release the GIL. Made on first use: importing concurrent.futures adds
-    about 8 ms to importing this module."""
+    """The pool that runs the (key, seed) tasks of a ksg or mine estimate
+    round: one thread per usable CPU, or one thread in a multiprocessing
+    child, whose siblings already fill the CPUs. cKDTree and numpy's array
+    kernels release the GIL. Made on first use: importing
+    concurrent.futures adds about 8 ms to importing this module."""
     pool = _pools.get("rep")
     if pool is None:
         import multiprocessing
@@ -862,18 +863,56 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pools.clear)
 
 
-def _ready_to_share(data: Dataset, kind: EstimatorKind) -> int:
-    """Make the store of (data, kind) and the repetition pool in the calling
-    thread, so that threads calling estimate_mi at once find both made;
-    return the pool's thread count."""
-    _prepared(data, kind)
-    return _pool()._max_workers
+def _attempt(estimate, *args):
+    """estimate(*args), or the Exception it raised."""
+    try:
+        return estimate(*args)
+    except Exception as err:
+        return err
+
+
+def _estimate_round(data: Dataset, keys: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
+                    cfg: EstimatorConfig) -> list[EstimateEnsemble | Exception]:
+    """Each key's ensemble estimate of I(left; right) in nats, or the
+    Exception its estimate raised.
+
+    A key is two resolved groups (_group_ids), disjoint or identical, each
+    estimated in the order given; an empty group yields an exactly-zero
+    ensemble without invoking the estimator. The plug-in kinds estimate in
+    the calling thread. Under ksg and mine every (key, seed) task of the
+    round goes to the repetition pool at once: each draws only from its own
+    seed's streams, and the ksg store prepares each (seed, column) once
+    under its lock, so tasks running at once read the same columns.
+    """
+    seeds = cfg.seeds()
+    out: list = [EstimateEnsemble.constant(0.0, seeds)] * len(keys)
+    live = [k for k, (left, right) in enumerate(keys) if left and right]
+    if not live:
+        return out
+    store = _prepared(data, cfg.kind)
+    if cfg.is_deterministic:
+        # The plug-in kinds give every repetition the same value.
+        def ensemble(left, right):
+            return EstimateEnsemble.constant(store.mi(left, right), seeds)
+
+        for k in live:
+            out[k] = _attempt(ensemble, *keys[k])
+        return out
+    # An interrupt in Executor.map cancels the tasks not yet started.
+    values = list(_pool().map(partial(_attempt, store.mi), *zip(*(
+        (*keys[k], seed) for k in live for seed in seeds))))
+    for at, k in enumerate(live):
+        estimates = tuple(values[at * len(seeds):(at + 1) * len(seeds)])
+        # The first failing repetition's error, as a map over the seeds raises.
+        errors = [v for v in estimates if isinstance(v, Exception)]
+        out[k] = errors[0] if errors else _attempt(EstimateEnsemble, estimates, seeds)
+    return out
 
 
 def estimate_mi(
     data: Dataset, left: GroupLike, right: GroupLike, cfg: EstimatorConfig
 ) -> EstimateEnsemble:
-    """Ensemble estimate of I(left; right) in nats.
+    """Ensemble estimate of I(left; right) in nats: a round of one key.
 
     Groups must be disjoint or identical. An empty group on either side
     yields an exactly-zero ensemble without invoking the estimator.
@@ -881,15 +920,7 @@ def estimate_mi(
     left_ids = _group_ids(left, data.n_features)
     right_ids = _group_ids(right, data.n_features)
     _check_groups(left_ids, right_ids)
-    seeds = cfg.seeds()
-    if not left_ids or not right_ids:
-        return EstimateEnsemble.constant(0.0, seeds)
-    store = _prepared(data, cfg.kind)
-    if cfg.is_deterministic:
-        # The plug-in kinds give every repetition the same value.
-        return EstimateEnsemble.constant(store.mi(left_ids, right_ids), seeds)
-    # Each repetition draws only from its own seed's streams, and the ksg
-    # store prepares each (seed, column) once under its lock, so repetitions
-    # and callers running at once read the same columns.
-    once = partial(store.mi, left_ids, right_ids)
-    return EstimateEnsemble(tuple(_pool().map(once, seeds)), seeds)
+    (value,) = _estimate_round(data, [(left_ids, right_ids)], cfg)
+    if isinstance(value, Exception):
+        raise value
+    return value

@@ -9,13 +9,13 @@ pruned surviving set. All decisions run on EstimateEnsembles so both
 deterministic and stochastic estimators share one significance rule.
 
 Passes only read MI estimates, each a fixed function of its column ids
-and repetition seed, so passes sharing one MiCache are independent. Under
-ksg and mine, with two or more repetition threads, they run on up to two
-pass threads per repetition thread (never more than the features), while
-each estimate's repetitions run on the repetition pool; the results come
-back in feature order, so the report is the same byte for byte. Under
-exact and binned, on one usable CPU and in bench's forked workers, the
-passes run one after another.
+and repetition seed, so every pass goes in lockstep over one cache
+(_lockstep): each pass is a generator that asks for the keys it needs
+next, and each round estimates the keys not yet cached together, the
+plug-in kinds in the calling thread and ksg and mine as (key, seed) tasks
+on the repetition pool. The passes resume in feature order, so the report
+and the first failing pass's error are the same byte for byte as passes
+run one after another give.
 """
 
 from __future__ import annotations
@@ -110,84 +110,42 @@ def _redundant(ensemble: EstimateEnsemble, alpha: float, eps_zero: float) -> boo
 
 
 class MiCache:
-    """Memoizes MI ensembles per column-group pair for one (data, cfg) run.
+    """Memoizes MI ensembles per column-group pair for one (data, cfg).
 
     Keys are the groups' sorted column ids, canonicalized so I(A;B) and
     I(B;A) share one entry computed in one fixed orientation, making
     symmetry bit-exact even for estimators that are only statistically
-    symmetric. A lookup resolves each group argument once (_group_ids); the
-    cache a run makes for its passes (_of_resolved_ids) takes TARGET or a
-    sorted tuple of feature ids in range as it is, since the passes build
-    no other. A miss passes the resolved ids (TARGET for the target) to
-    estimate_mi, whose per-dataset store bins and casts each column once
-    and, for the plug-in kinds, computes each column group's entropy once.
-
-    Passes running at once share one cache. The first asker of a key puts
-    a held lock, its latch, in the entry and estimates the key; later
-    askers wait on the latch. An estimator error is kept in the entry and
-    raised to every asker.
+    symmetric. A lookup resolves each group argument once (_group_ids) and
+    passes a miss's ids (TARGET for the target) to estimate_mi, whose
+    per-dataset store bins and casts each column once and, for the plug-in
+    kinds, computes each column group's entropy once. It serves theta and
+    brute_force_fws; run_pidf keys its own dict the same way (_lockstep).
     """
 
     def __init__(self, data: Dataset, cfg: EstimatorConfig):
-        import threading
-
         self.data = data
         self.cfg = cfg
-        # Key -> its ensemble, the error its estimate raised, or its latch.
-        self._cache: dict[tuple[tuple[int, ...], tuple[int, ...]], object] = {}
-        self._new_latch = threading.Lock
-        self._resolved = False
-
-    @classmethod
-    def _of_resolved_ids(cls, data: Dataset, cfg: EstimatorConfig) -> "MiCache":
-        """A cache whose callers pass only TARGET or sorted tuples of
-        feature ids in range, which it takes as they are."""
-        cache = cls(data, cfg)
-        cache._resolved = True
-        return cache
+        self._cache: dict[tuple[tuple[int, ...], tuple[int, ...]], EstimateEnsemble] = {}
 
     def mi(self, left, right) -> EstimateEnsemble:
         """I(left; right), for groups as estimate_mi takes them."""
-        if self._resolved:
-            left_ids = _TARGET_IDS if left is TARGET else left
-            right_ids = _TARGET_IDS if right is TARGET else right
-        else:
-            left_ids = _group_ids(left, self.data.n_features)
-            right_ids = _group_ids(right, self.data.n_features)
-        if right_ids < left_ids:
-            left_ids, right_ids = right_ids, left_ids
-        key = (left_ids, right_ids)
+        n_features = self.data.n_features
+        return self._of(_key(_group_ids(left, n_features), _group_ids(right, n_features)))
+
+    def _of(self, key: tuple[tuple[int, ...], tuple[int, ...]]) -> EstimateEnsemble:
         hit = self._cache.get(key)
         if hit is None:
-            latch = self._new_latch()
-            latch.acquire()
-            # setdefault is atomic: of two first askers, one puts its latch
-            # and the other gets it. A lock around it cost 0.4 us more per
-            # miss on a 2-vCPU VM, about 1% of an exact 20,000 x 12 run.
-            hit = self._cache.setdefault(key, latch)
-            if hit is latch:
-                try:
-                    hit = estimators.estimate_mi(self.data, _group(left_ids),
-                                                 _group(right_ids), self.cfg)
-                except BaseException as err:
-                    hit = err
-                    raise
-                finally:
-                    self._cache[key] = hit
-                    latch.release()
-                return hit
-        if type(hit) is EstimateEnsemble:
-            return hit
-        if not isinstance(hit, BaseException):
-            with hit:  # the latch opens once the first asker is done
-                pass
-            hit = self._cache[key]
-        if isinstance(hit, BaseException):
-            raise hit
+            hit = self._cache[key] = estimators.estimate_mi(
+                self.data, _group(key[0]), _group(key[1]), self.cfg)
         return hit
 
 
 _TARGET_IDS = (_TARGET_ID,)
+
+
+def _key(left: tuple[int, ...], right: tuple[int, ...]):
+    """The cache key of I(left; right) for resolved ids: the smaller first."""
+    return (left, right) if left <= right else (right, left)
 
 
 def _group(ids: tuple[int, ...]):
@@ -223,17 +181,21 @@ def theta(
         raise ConfigError("feature and candidate must differ")
     if {feature, candidate, _TARGET_ID} & set(ctx):
         raise ConfigError("context must exclude the target, feature and candidate")
-    return _theta(MiCache(data, cfg) if cache is None else cache, feature, candidate, ctx)
+    cache = MiCache(data, cfg) if cache is None else cache
+    return _theta(*map(cache._of, _theta_keys(feature, candidate, ctx)))
 
 
-def _theta(cache: MiCache, feature: int, candidate: int,
-           ctx: tuple[int, ...]) -> EstimateEnsemble:
-    """theta of resolved ids: a feature, another as the candidate, and the
-    sorted context, which holds neither."""
-    with_candidate = cache.mi(TARGET, _with(ctx, feature, candidate))
-    base_candidate = cache.mi(TARGET, _with(ctx, candidate))
-    with_feature = cache.mi(TARGET, _with(ctx, feature))
-    base = cache.mi(TARGET, ctx)
+def _theta_keys(feature: int, candidate: int, ctx: tuple[int, ...]):
+    """The keys of theta's four terms, in _theta's order, for resolved ids:
+    a feature, another as the candidate, and the sorted context, which
+    holds neither."""
+    return [_key(_TARGET_IDS, group) for group in (
+        _with(ctx, feature, candidate), _with(ctx, candidate), _with(ctx, feature), ctx)]
+
+
+def _theta(with_candidate: EstimateEnsemble, base_candidate: EstimateEnsemble,
+           with_feature: EstimateEnsemble, base: EstimateEnsemble) -> EstimateEnsemble:
+    """theta of its four terms, I(Y; ...) of the groups of _theta_keys."""
     return EstimateEnsemble.linear(
         [(1.0, with_candidate), (-1.0, base_candidate), (-1.0, with_feature), (1.0, base)]
     )
@@ -247,49 +209,90 @@ def _fws(
     return EstimateEnsemble.linear([(1.0, joint), (-1.0, partners), (-1.0, alone)])
 
 
-def _pass_threads(data: Dataset, cfg: EstimatorConfig) -> int:
-    """How many feature passes of (data, cfg) run at once.
+def _feature_pass(data: Dataset, i: int, alpha: float, eps_zero: float):
+    """Feature i's pass, as a generator: it yields the cache keys it needs
+    next, is sent their ensembles in that order, and returns the feature's
+    result. An estimate's error is thrown in at the yield that asked for
+    it and leaves the pass with the feature (and candidate) named.
 
-    While one pass waits on the repetition pool, another keeps it busy, so
-    ksg and mine run up to two passes per repetition thread, never more
-    than the features. The plug-in store is not shared between threads,
-    and one repetition thread (one usable CPU, or bench's forked workers)
-    means the CPUs are already full: passes then run one at a time.
+    alpha and eps_zero come checked, and FeatureSubsets are built only for
+    what the report holds.
     """
-    if cfg.is_deterministic:
-        return 1
-    repetition = estimators._ready_to_share(data, cfg.kind)
-    return min(2 * repetition, data.n_features) if repetition > 1 else 1
-
-
-def _in_feature_order(one_pass, n_features: int,
-                      threads: int) -> tuple[PidfFeatureResult, ...]:
-    """one_pass of each feature, in feature order: one after another below
-    two threads, else on that many pass threads, which end with the call.
-    After an error or an interrupt, passes not yet started never run."""
-    if threads < 2:
-        return tuple(map(one_pass, range(n_features)))
-    from concurrent.futures import ThreadPoolExecutor
-
-    failed = False
-
-    def unless_failed(i: int) -> PidfFeatureResult | None:
-        # Passes start in feature order, so one not started when another
-        # fails comes after it, and map raises before it reads its result.
-        nonlocal failed
-        if failed:
-            return None
-        try:
-            return one_pass(i)
-        except BaseException:
-            failed = True
-            raise
-
-    pool = ThreadPoolExecutor(threads, thread_name_prefix="pidf-pass")
+    name = data.feature_names[i]
+    others = [j for j in range(data.n_features) if j != i]
     try:
-        return tuple(pool.map(unless_failed, range(n_features)))
-    finally:
-        pool.shutdown(cancel_futures=True)
+        mi_i, *pairs = yield [(_TARGET_IDS, (i,)), *(_key((i,), (j,)) for j in others)]
+    except EstimatorError as err:
+        raise EstimatorError(f"feature {name!r}: {err}") from err
+    pairwise = dict(zip(others, pairs))
+    order = tuple(sorted(others, key=lambda j: (-pairwise[j].mean, j)))
+    surviving = others
+    evaluations = []
+    for j in order:
+        if not _positive(pairwise[j], alpha, eps_zero):
+            continue
+        context = tuple(k for k in surviving if k != j)
+        try:
+            th = _theta(*(yield _theta_keys(i, j, context)))
+        except EstimatorError as err:
+            raise EstimatorError(
+                f"feature {name!r}, candidate {data.feature_names[j]!r}: {err}"
+            ) from err
+        verdict = _redundant(th, alpha, eps_zero)
+        evaluations.append(ThetaEvaluation(j, FeatureSubset(context), th, verdict))
+        if verdict:
+            surviving.remove(j)
+    partners = tuple(surviving)
+    try:
+        joint, partners_only = yield [_key(_TARGET_IDS, _with(partners, i)),
+                                      _key(_TARGET_IDS, partners)]
+    except EstimatorError as err:
+        raise EstimatorError(f"feature {name!r}: {err}") from err
+    return PidfFeatureResult(
+        index=i,
+        name=name,
+        mi=mi_i,
+        fws=_fws(joint, partners_only, mi_i),
+        candidate_order=order,
+        evaluations=tuple(evaluations),
+    )
+
+
+def _lockstep(data: Dataset, cfg: EstimatorConfig, passes: list) -> tuple:
+    """Each pass's result, driving the passes in lockstep over one cache.
+
+    Each round gathers the keys the live passes ask for, estimates those
+    not cached in one estimators._estimate_round, then resumes the passes in
+    order: each is sent its ensembles, or thrown the error of its first
+    failing key. Every key is estimated once, errors included. A pass that
+    raises drops the passes after it, and once the passes before it end,
+    the first failing pass's error is raised, as running the passes one
+    after another would raise it.
+    """
+    cache: dict = {}
+    results: list = [None] * len(passes)
+    failure = None
+    asks = {k: next(one) for k, one in enumerate(passes)}
+    while asks:
+        missing = list(dict.fromkeys(
+            key for keys in asks.values() for key in keys if key not in cache))
+        if missing:
+            cache.update(zip(missing, estimators._estimate_round(data, missing, cfg)))
+        for k, keys in list(asks.items()):
+            values = [cache[key] for key in keys]
+            error = next((v for v in values if type(v) is not EstimateEnsemble), None)
+            try:
+                asks[k] = passes[k].send(values) if error is None else passes[k].throw(error)
+            except StopIteration as done:
+                results[k] = done.value
+                del asks[k]
+            except Exception as err:
+                failure = err
+                asks = {m: v for m, v in asks.items() if m < k}
+                break
+    if failure is not None:
+        raise failure
+    return tuple(results)
 
 
 def run_pidf(
@@ -309,51 +312,8 @@ def run_pidf(
     require_nonnegative(eps_zero, "eps_zero")
     if data.n_features < 1:
         raise ConfigError("need at least one feature")
-    # alpha and eps_zero are checked above, and lookups pass sorted id
-    # tuples; FeatureSubsets are built only for what the report holds.
-    n_features = data.n_features
-    cache = MiCache._of_resolved_ids(data, cfg)
-
-    def one_pass(i: int) -> PidfFeatureResult:
-        name = data.feature_names[i]
-        try:
-            mi_i = cache.mi(TARGET, (i,))
-            pairwise = {j: cache.mi((i,), (j,)) for j in range(n_features) if j != i}
-        except EstimatorError as err:
-            raise EstimatorError(f"feature {name!r}: {err}") from err
-        order = tuple(sorted(pairwise, key=lambda j: (-pairwise[j].mean, j)))
-        surviving = [j for j in range(n_features) if j != i]
-        evaluations = []
-        for j in order:
-            if not _positive(pairwise[j], alpha, eps_zero):
-                continue
-            context = tuple(k for k in surviving if k != j)
-            try:
-                th = _theta(cache, i, j, context)
-            except EstimatorError as err:
-                raise EstimatorError(
-                    f"feature {name!r}, candidate {data.feature_names[j]!r}: {err}"
-                ) from err
-            verdict = _redundant(th, alpha, eps_zero)
-            evaluations.append(ThetaEvaluation(j, FeatureSubset(context), th, verdict))
-            if verdict:
-                surviving.remove(j)
-        partners = tuple(surviving)
-        try:
-            joint = cache.mi(TARGET, _with(partners, i))
-            partners_only = cache.mi(TARGET, partners)
-        except EstimatorError as err:
-            raise EstimatorError(f"feature {name!r}: {err}") from err
-        return PidfFeatureResult(
-            index=i,
-            name=name,
-            mi=mi_i,
-            fws=_fws(joint, partners_only, mi_i),
-            candidate_order=order,
-            evaluations=tuple(evaluations),
-        )
-
-    results = _in_feature_order(one_pass, n_features, _pass_threads(data, cfg))
+    results = _lockstep(data, cfg, [_feature_pass(data, i, alpha, eps_zero)
+                                    for i in range(data.n_features)])
     return PidfReport(
         results=results,
         feature_names=data.feature_names,

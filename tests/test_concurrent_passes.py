@@ -1,13 +1,13 @@
-"""The feature passes of a ksg or mine run go on pass threads that share one
-MiCache. They give the bytes of passes run one after another, estimate
-each MI once, raise the error the first failing pass raises, and leave no
-thread behind."""
+"""The feature passes of a run go in lockstep over one cache: each round
+estimates the keys the live passes ask for, under ksg and mine as (key,
+seed) tasks on the repetition pool. The passes give the bytes of passes
+run one after another, estimate each MI once, raise the error the first
+failing pass raises, and leave no work behind."""
 
 import hashlib
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,11 +17,9 @@ from pidf import (
     Dataset,
     EstimatorConfig,
     EstimatorError,
-    ExactDiscrete,
     Ksg,
     Mine,
     MineConfig,
-    TARGET,
     render_json,
     run_pidf,
     select_features,
@@ -57,13 +55,31 @@ def text(data: Dataset, cfg: EstimatorConfig | None = None) -> str:
     return render_json(report, select_features(report))
 
 
-def passes_on(monkeypatch, threads: int) -> None:
-    """Run every later pass on this many threads, whatever the CPUs."""
-    monkeypatch.setattr(pidf_mod, "_pass_threads", lambda data, cfg: threads)
+@pytest.fixture
+def pool_of(monkeypatch):
+    """Give later estimates a repetition pool of this many threads, shut
+    down when the test ends."""
+    made = []
+
+    def make(threads: int) -> ThreadPoolExecutor:
+        pool = ThreadPoolExecutor(threads, thread_name_prefix="pidf-rep")
+        made.append(pool)
+        monkeypatch.setitem(estimators._pools, "rep", pool)
+        return pool
+
+    yield make
+    for pool in made:
+        pool.shutdown()
 
 
-def pass_threads_alive() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name.startswith("pidf-pass")]
+def fast_switching(run):
+    """run() with the interpreter switching threads every microsecond."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return run()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def tiny_ksg_table() -> Dataset:
@@ -80,82 +96,46 @@ def tiny_ksg_table() -> Dataset:
 
 class TestSameBytes:
     @pytest.mark.parametrize("name,seed", sorted(TEXT_SHA256))
-    def test_ksg_text_is_pinned_on_threads_and_in_turn(self, monkeypatch, name, seed):
+    def test_ksg_text_is_pinned_on_threads_and_in_turn(self, pool_of, name, seed):
         data = table(name, seed)
         assert type(pidf_mod.default_config(data).kind) is Ksg
         default = text(data)
-        passes_on(monkeypatch, 4)
-        threaded = text(data)
-        passes_on(monkeypatch, 1)
+        pool_of(1)
         in_turn = text(data)
         assert hashlib.sha256(in_turn.encode("utf-8")).hexdigest() == TEXT_SHA256[name, seed]
-        assert threaded == in_turn
         assert default == in_turn
 
-    def test_mine_text_on_threads_and_in_turn(self, monkeypatch):
+    def test_mine_text_on_threads_and_in_turn(self, pool_of):
         cfg = EstimatorConfig(
             kind=Mine(MineConfig(batch_size=64, iterations=20, hidden=8)), repetitions=3)
         data = gaussian_table(300, 3, 1)
-        passes_on(monkeypatch, 3)
-        threaded = text(data, cfg)
-        passes_on(monkeypatch, 1)
-        assert threaded == text(data, cfg)
-
-
-class TestPassThreads:
-    def test_plugin_kinds_run_passes_in_turn(self):
-        data = generate(GeneratorSpec("rvq", 200, 0))
-        assert pidf_mod._pass_threads(data, EstimatorConfig(kind=ExactDiscrete())) == 1
-
-    @pytest.mark.parametrize("repetition,features,want", [
-        (1, 6, 1), (2, 6, 4), (2, 3, 3), (4, 6, 6), (2, 1, 1),
-    ])
-    def test_two_per_repetition_thread_at_most_one_per_feature(
-            self, monkeypatch, repetition, features, want):
-        monkeypatch.setattr(estimators, "_pool",
-                            lambda: SimpleNamespace(_max_workers=repetition))
-        data = gaussian_table(100, features, 0)
-        assert pidf_mod._pass_threads(data, EstimatorConfig(kind=Ksg())) == want
-
-    def test_store_and_pool_are_made_in_the_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(estimators, "_pools", {})
-        data = gaussian_table(100, 3, 2)
-        try:
-            threads = pidf_mod._pass_threads(data, EstimatorConfig(kind=Ksg()))
-            pool = estimators._pools["rep"]
-            assert estimators._store.data is data
-            assert threads == (min(2 * pool._max_workers, 3) if pool._max_workers > 1 else 1)
-        finally:
-            estimators._pools["rep"].shutdown()
+        default = text(data, cfg)
+        pool_of(1)
+        assert default == text(data, cfg)
 
 
 class TestSharedCache:
-    def test_each_estimate_once(self, monkeypatch):
+    def test_each_estimate_once(self, monkeypatch, pool_of):
         data = gaussian_table(600, 6, 3)
         calls = []
-        real_estimate = estimators.estimate_mi
+        real_mi = estimators._KsgSample.mi
 
-        def recording_estimate(data, left, right, cfg):
-            calls.append((left, right))
-            return real_estimate(data, left, right, cfg)
+        def recording_mi(sample, left, right, rep_seed):
+            calls.append((left, right, rep_seed))
+            return real_mi(sample, left, right, rep_seed)
 
-        monkeypatch.setattr(estimators, "estimate_mi", recording_estimate)
-        passes_on(monkeypatch, 1)
+        monkeypatch.setattr(estimators._KsgSample, "mi", recording_mi)
+        pool_of(1)
         in_turn = text(data)
         distinct = len(calls)
         assert distinct == len(set(calls))
         calls.clear()
-        passes_on(monkeypatch, 6)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = text(data)
-        finally:
-            sys.setswitchinterval(interval)
+        pool_of(4)
+        threaded = fast_switching(lambda: text(data))
         assert len(calls) == len(set(calls)) == distinct
         assert threaded == in_turn
 
-    def test_each_column_jittered_once(self, monkeypatch):
+    def test_each_column_jittered_once(self, monkeypatch, pool_of):
         jittered = []
         real_jittered = estimators._jittered
 
@@ -164,24 +144,19 @@ class TestSharedCache:
             return real_jittered(col, col_id, rep_seed)
 
         monkeypatch.setattr(estimators, "_jittered", counted_jittered)
-        passes_on(monkeypatch, 6)
+        pool_of(4)
         data = gaussian_table(600, 6, 4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            run_pidf(data)
-        finally:
-            sys.setswitchinterval(interval)
+        fast_switching(lambda: run_pidf(data))
         seeds = EstimatorConfig().seeds()
         assert sorted(jittered) == [(s, c) for s in seeds for c in range(-1, 6)]
 
     @pytest.mark.parametrize("threads", [None, 1])
-    def test_two_concurrent_runs_share_one_repetition_pool(self, monkeypatch, threads):
-        # Both runs ask for the pool first at once: passes in turn ask it
-        # from estimate_mi, passes on threads from the calling thread.
-        if threads is not None:
-            passes_on(monkeypatch, threads)
+    def test_two_concurrent_runs_share_one_repetition_pool(self, monkeypatch, pool_of,
+                                                           threads):
+        # With no pool given, both runs ask for the pool first at once.
         monkeypatch.setattr(estimators, "_pools", {})
+        if threads is not None:
+            pool_of(threads)
         before = {t for t in threading.enumerate() if t.name.startswith("pidf-rep")}
         used = set()
         real_ksg_mi = estimators.ksg_mi
@@ -202,20 +177,18 @@ class TestSharedCache:
             except BaseException as err:  # reported by the asserts below
                 errors.append(err)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
+        def both():
             runs = [threading.Thread(target=analyze, args=(k,)) for k in range(2)]
             for run in runs:
                 run.start()
             for run in runs:
                 run.join()
-        finally:
-            sys.setswitchinterval(interval)
+
+        fast_switching(both)
         try:
             assert errors == []
             live = {t for t in threading.enumerate() if t.name.startswith("pidf-rep")}
-            assert len(used) <= usable_cpus()
+            assert len(used) <= (threads or usable_cpus())
             assert len(live - before) <= usable_cpus()
             assert texts == {k: text(tables[k]) for k in range(2)}
         finally:
@@ -224,47 +197,72 @@ class TestSharedCache:
 
 class TestErrors:
     @pytest.mark.parametrize("threads", [None, 2, 1])
-    def test_same_error_text(self, monkeypatch, threads):
+    def test_same_error_text(self, pool_of, threads):
         if threads is not None:
-            passes_on(monkeypatch, threads)
+            pool_of(threads)
         with pytest.raises(EstimatorError) as caught:
             run_pidf(tiny_ksg_table())
         assert str(caught.value) == "feature 'a': ksg needs more than k=3 rows, got 2"
-        assert pass_threads_alive() == []
 
     def test_no_pass_thread_outlives_a_run(self):
+        # A run starts no thread of its own: only the repetition pool's.
+        before = set(threading.enumerate())
         run_pidf(gaussian_table(300, 4, 7))
-        assert pass_threads_alive() == []
+        started = set(threading.enumerate()) - before
+        assert all(t.name.startswith("pidf-rep") for t in started)
 
     @pytest.mark.parametrize("error", [EstimatorError("broken"), KeyboardInterrupt()])
-    def test_passes_not_started_are_cancelled(self, monkeypatch, error):
-        # Each pass fails at its first estimate, I(Y; its feature). Pass 0
-        # fails once passes 1 to 3 hold the other three threads; they fail
-        # when the run shuts its pool down, and no other pass starts.
+    def test_passes_not_started_are_cancelled(self, monkeypatch, pool_of, error):
+        # The estimate of I(Y; feature 2) fails in the first round. After
+        # it, no round asks for the keys of passes 3 to 7, and no (key,
+        # seed) task starts once the run has raised.
         data = gaussian_table(100, 8, 8)
-        started, lock = set(), threading.Lock()
-        busy, release = threading.Event(), threading.Event()
+        asked, rounds, late = [], [], []
+        raised = threading.Event()
+        real_mi, real_round = estimators._KsgSample.mi, estimators._estimate_round
+        real_pass = pidf_mod._feature_pass
 
-        def first_estimates(data, left, right, cfg):
-            assert left is TARGET and len(right) == 1
-            with lock:
-                started.add(right[0])
-                if len(started) == 4:
-                    busy.set()
-            (busy if right[0] == 0 else release).wait(30)
-            raise error
+        def failing_mi(sample, left, right, rep_seed):
+            late.append(raised.is_set())
+            if (left, right) == ((-1,), (2,)):
+                raise error
+            return real_mi(sample, left, right, rep_seed)
 
-        real_shutdown = ThreadPoolExecutor.shutdown
+        def recorded_round(data, keys, cfg):
+            rounds.append(keys)
+            return real_round(data, keys, cfg)
 
-        def releasing_shutdown(pool, *args, **kwargs):
-            release.set()
-            return real_shutdown(pool, *args, **kwargs)
+        class RecordedPass:
+            def __init__(self, data, i, *args):
+                self.i, self.inner = i, real_pass(data, i, *args)
 
-        monkeypatch.setattr(estimators, "estimate_mi", first_estimates)
-        monkeypatch.setattr(ThreadPoolExecutor, "shutdown", releasing_shutdown)
-        passes_on(monkeypatch, 4)
-        with pytest.raises(type(error)):
+            def __next__(self):
+                return self.ask(next(self.inner))
+
+            def send(self, values):
+                return self.ask(self.inner.send(values))
+
+            def throw(self, err):
+                return self.ask(self.inner.throw(err))
+
+            def ask(self, keys):
+                asked.append((self.i, keys))
+                return keys
+
+        monkeypatch.setattr(estimators._KsgSample, "mi", failing_mi)
+        monkeypatch.setattr(estimators, "_estimate_round", recorded_round)
+        monkeypatch.setattr(pidf_mod, "_feature_pass", RecordedPass)
+        pool = pool_of(1)
+        with pytest.raises(type(error)) as caught:
             run_pidf(data)
-        assert busy.is_set()
-        assert started == {0, 1, 2, 3}
-        assert pass_threads_alive() == []
+        raised.set()
+        pool.submit(lambda: None).result()  # the one pool thread is done
+        if type(error) is EstimatorError:
+            assert str(caught.value) == "feature 'f2': broken"
+        assert not any(late)
+        first = [keys for i, keys in asked[:8]]
+        assert [i for i, _ in asked[:8]] == list(range(8))
+        assert all(i < 2 for i, _ in asked[8:])
+        later = {key for i, keys in asked[8:] for key in keys}
+        assert {key for keys in rounds[1:] for key in keys} <= later
+        assert set(rounds[0]) == {key for keys in first for key in keys}

@@ -247,16 +247,6 @@ class TestTheoremChecks:
         pairwise = ref.mi(F(1), F(0))
         assert theta < -pairwise - 1e-9
 
-    def test_identity_matches_direct_difference(self):
-        data = datasets.population_table("rvq")
-        ref = ExactOracle(data)
-        result = oracle_pidf(data)
-        for feat in result:
-            everything = FeatureSubset.full(data.n_features)
-            rest = everything - {feat.index}
-            direct = ref.mi(everything, TARGET) - ref.mi(rest, TARGET)
-            assert feat.mci - feat.fwr == pytest.approx(direct, abs=1e-12)
-
 
 def test_oracle_module_avoids_the_estimator_stack():
     """The oracle must stay an independent implementation: pure-Python

@@ -226,69 +226,64 @@ class TestMiCache:
         assert list(cache._cache) == [((-1,), (0, 2))]
 
     def test_a_run_resolves_no_group_twice(self, monkeypatch):
-        # The pass hands the cache resolved ids, so the only resolutions
-        # left are estimate_mi's own two per miss.
+        # The passes build their keys from resolved ids, and the round
+        # function takes them as they are: no group is resolved at all.
         from test_plugin_pins import binary_table
 
-        counts = {"lookups": 0, "misses": 0, "resolved": 0}
-        lookup, estimate, resolve = MiCache.mi, estimators.estimate_mi, types._group_ids
-
-        def counted_lookup(cache, left, right):
-            counts["lookups"] += 1
-            return lookup(cache, left, right)
-
-        def counted_estimate(*args):
-            counts["misses"] += 1
-            return estimate(*args)
+        resolved, keys = [], []
+        resolve, estimate_round = types._group_ids, estimators._estimate_round
 
         def counted_resolve(*args):
-            counts["resolved"] += 1
+            resolved.append(args)
             return resolve(*args)
 
-        monkeypatch.setattr(MiCache, "mi", counted_lookup)
-        monkeypatch.setattr(estimators, "estimate_mi", counted_estimate)
+        def recorded_round(data, round_keys, cfg):
+            keys.extend(round_keys)
+            return estimate_round(data, round_keys, cfg)
+
+        monkeypatch.setattr(estimators, "_estimate_round", recorded_round)
         for module in (types, estimators, pass_module):
             monkeypatch.setattr(module, "_group_ids", counted_resolve)
         run_pidf(binary_table(20000, 12, 1))
-        assert counts["lookups"] == 184 and counts["misses"] == 93
-        assert counts["resolved"] <= 2 * counts["misses"]
+        assert resolved == []
+        assert len(keys) == len(set(keys)) == 93
 
 
 class TestBenchmarkHooks:
     """perfbench's tracer counts and times a run by replacing module
     attributes: MiCache.mi, estimators.estimate_mi and estimators.ksg_mi.
-    These tests hold the calls where it replaces them."""
+    run_pidf estimates every key through estimators._estimate_round, which
+    calls neither of the first two; these tests hold the calls it makes."""
 
-    def test_each_cache_miss_calls_estimate_mi_once(self, monkeypatch):
-        calls = []
-        estimate = estimators.estimate_mi
+    def test_each_key_is_estimated_once_in_the_calling_thread(self, monkeypatch):
+        import threading
+
+        rounds = []
+        estimate_round = estimators._estimate_round
 
         def recorded(*args, **kwargs):
-            calls.append((args, kwargs))
-            return estimate(*args, **kwargs)
+            rounds.append((args, kwargs, threading.current_thread()))
+            return estimate_round(*args, **kwargs)
 
-        per_lookup = []
-        lookup = MiCache.mi
+        def refused(*args):
+            raise AssertionError("run_pidf called estimate_mi")
 
-        def counted(cache, left, right):
-            before = len(calls)
-            try:
-                return lookup(cache, left, right)
-            finally:
-                per_lookup.append(len(calls) - before)
-
-        monkeypatch.setattr(estimators, "estimate_mi", recorded)
-        monkeypatch.setattr(MiCache, "mi", counted)
+        monkeypatch.setattr(estimators, "_estimate_round", recorded)
+        monkeypatch.setattr(estimators, "estimate_mi", refused)
+        monkeypatch.setattr(MiCache, "mi", refused)
         data = population_table("msq")
         cfg = default_config(data)
         run_pidf(data, cfg)
-        assert set(per_lookup) == {0, 1}
-        assert sum(per_lookup) == len(calls)
-        for args, kwargs in calls:
-            assert len(args) == 4 and not kwargs
-            assert args[0] is data and args[3] is cfg
-        groups = [args[1:3] for args, _ in calls]
-        assert len(set(groups)) == len(groups)
+        keys = []
+        for args, kwargs, thread in rounds:
+            assert len(args) == 3 and not kwargs
+            assert args[0] is data and args[2] is cfg
+            assert thread is threading.current_thread()
+            keys.extend(args[1])
+        assert keys and len(set(keys)) == len(keys)
+        for left, right in keys:
+            assert left < right
+            assert left == tuple(sorted(set(left))) and right == tuple(sorted(set(right)))
 
     def test_ksg_calls_the_module_ksg_mi(self, monkeypatch):
         calls = []

@@ -3,6 +3,7 @@
 import dataclasses
 
 import pytest
+from scipy.stats import t as student_t
 
 from pidf import (
     Confusion,
@@ -224,19 +225,28 @@ class TestConfusionCounts:
 
 
 class TestCustomThresholds:
-    def test_alpha_override(self):
-        # borderline stochastic net: t = 3.0, df = 2; selected at 0.05 only
-        spread = 0.2 / 3**0.5
-        borderline = EstimateEnsemble((0.2 - spread, 0.2, 0.2 + spread), SEEDS)
+    @staticmethod
+    def stochastic_report(t):
+        """Feature 0's net is a 3-seed ensemble of mean 0.2 with statistic t."""
+        spread = 0.2 * 3**0.5 / t
+        net = EstimateEnsemble((0.2 - spread, 0.2, 0.2 + spread), SEEDS)
         result = PidfFeatureResult(
             index=0,
             name="f0",
-            mi=borderline,
+            mi=net,
             fws=const(0.0),
             candidate_order=(1,),
             evaluations=(),
         )
-        other = make_result(1, mi=0.0, n=2)
-        report = make_report([result, other])
+        return make_report([result, make_result(1, mi=0.0, n=2)])
+
+    def test_alpha_override(self):
+        # borderline stochastic net: t = 3.0, df = 2; selected at 0.05 only
+        report = self.stochastic_report(3.0)
         assert 0 in select_features(report).phase1
         assert 0 not in select_features(dataclasses.replace(report, alpha=0.01)).phase1
+        # t = 2.4: the one-sided p of about 0.069 lies between alpha and
+        # 2 alpha, so a test at 2 alpha would keep it.
+        report = self.stochastic_report(2.4)
+        assert 0.05 < student_t.sf(2.4, 2) < 0.1
+        assert 0 not in select_features(report).phase1
